@@ -1,9 +1,8 @@
 #include "net/agent.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <optional>
@@ -11,14 +10,13 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "net/framing.hpp"
 #include "net/socket.hpp"
-#include "runner/runner.hpp"
+#include "runner/worker.hpp"
 #include "util/fault.hpp"
 #include "util/journal.hpp"
 #include "util/log.hpp"
@@ -27,45 +25,15 @@ namespace kronotri::net {
 
 namespace {
 
+using runner::AttemptResult;
+using runner::monotonic_s;
 using util::json::Value;
 
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::string tmp_dir() {
-  const char* dir = std::getenv("TMPDIR");
-  return (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-}
-
-pid_t spawn_worker(const std::string& exe,
-                   const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: exec immediately — the agent may hold OpenMP/thread state a
-    // forked child must not touch.
-    ::execv(exe.c_str(), argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-/// One dispatched unit waiting for a slot.
+/// One dispatched unit: the worker job (scratch paths included) and the
+/// plan text its plan file is written from.
 struct Job {
-  unsigned unit = 0;
-  unsigned attempt = 0;
+  runner::WorkerJob worker;
   std::string plan_text;
-  std::string fault;
-  std::size_t mem_limit = 0;
-  bool trace = false;
 };
 
 /// One running worker process of this connection.
@@ -73,14 +41,18 @@ struct Child {
   Job job;
   pid_t pid = -1;
   double start_s = 0;
-  std::string plan_path;
-  std::string out_path;
-  std::string trace_path;
-  bool cancelled = false;
 };
 
-std::optional<std::string> slurp(const std::string& path) {
-  return util::journal::read_file(path);
+/// Whether `spec` injects `kind` at (unit, attempt). The coordinator
+/// validated the spec; an unparsable one here is inert rather than fatal.
+bool fault_fires(const std::string& spec, std::string_view kind,
+                 unsigned unit, unsigned attempt) {
+  if (spec.empty()) return false;
+  try {
+    return util::fault::Injector(spec).match(kind, unit, attempt) != nullptr;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -177,7 +149,7 @@ void Agent::connection_loop(int fd) {
   std::deque<Job> queue;
   std::vector<Child> children;
   double last_send = monotonic_s();
-  const std::string prefix = tmp_dir() + "/kronotri." +
+  const std::string prefix = runner::tmp_dir() + "/kronotri." +
                              std::to_string(::getpid()) + ".agent" +
                              std::to_string(fd) + ".";
 
@@ -188,25 +160,42 @@ void Agent::connection_loop(int fd) {
   const auto send_msg = [&](const Value& msg) -> bool {
     return send_raw(encode_message(msg));
   };
+  // One `result` message: the AttemptResult plus the attempt's
+  // coordinates. A garble_frame fault flips one payload byte AFTER
+  // framing: the length still parses, the CRC check has to catch it.
+  const auto send_result = [&](const runner::WorkerJob& w,
+                               const AttemptResult& res,
+                               double wall_s) -> bool {
+    Value r = res.to_json();
+    r.set("type", "result");
+    r.set("unit", w.unit);
+    r.set("attempt", w.attempt);
+    r.set("wall_s", wall_s);
+    std::string bytes = encode_message(r);
+    if (fault_fires(w.fault, "garble_frame", w.unit, w.attempt)) {
+      bytes[util::journal::kFrameOverhead / 2 + bytes.size() / 2] ^= 0x20;
+      util::log::info("agent", "garbling result frame (fault injection)",
+                      {{"unit", w.unit}, {"attempt", w.attempt}});
+    }
+    return send_raw(bytes);
+  };
 
-  const auto cleanup_child = [&](Child& c) {
-    if (!c.plan_path.empty()) ::unlink(c.plan_path.c_str());
-    if (!c.out_path.empty()) ::unlink(c.out_path.c_str());
-    if (!c.trace_path.empty()) ::unlink(c.trace_path.c_str());
+  const auto cleanup_child = [&](const Child& c) {
+    for (const std::string* path :
+         {&c.job.worker.plan_path, &c.job.worker.out_path,
+          &c.job.worker.trace_path}) {
+      if (!path->empty()) ::unlink(path->c_str());
+    }
     busy_.fetch_sub(1, std::memory_order_acq_rel);
   };
 
   // Kill + reap every child of this connection — run on any exit path so
   // a lost coordinator never races its own re-dispatched attempts.
   const auto kill_children = [&] {
-    for (Child& c : children) {
-      if (c.pid > 0) ::kill(c.pid, SIGKILL);
-    }
-    for (Child& c : children) {
-      if (c.pid > 0) {
-        int status = 0;
-        ::waitpid(c.pid, &status, 0);
-      }
+    for (const Child& c : children) ::kill(c.pid, SIGKILL);
+    for (const Child& c : children) {
+      int status = 0;
+      ::waitpid(c.pid, &status, 0);
       cleanup_child(c);
     }
     children.clear();
@@ -215,139 +204,42 @@ void Agent::connection_loop(int fd) {
   const auto spawn = [&](Job&& job) {
     Child c;
     c.job = std::move(job);
-    const std::string stem = prefix + "u" + std::to_string(c.job.unit) +
-                             ".a" + std::to_string(c.job.attempt);
-    c.plan_path = stem + ".plan";
-    c.out_path = stem + ".frame";
-    {
-      std::ofstream out(c.plan_path, std::ios::trunc);
-      out << c.job.plan_text << "\n";
-      if (!out) {
-        Value r = Value::object();
-        r.set("type", "result");
-        r.set("unit", c.job.unit);
-        r.set("attempt", c.job.attempt);
-        r.set("outcome", "spawn_failed");
-        r.set("detail", errno);
-        r.set("wall_s", 0.0);
-        (void)send_msg(r);
-        ::unlink(c.plan_path.c_str());
-        return;
-      }
-    }
-    std::vector<std::string> args = {exe_,
-                                     "__worker",
-                                     "--plan-file",
-                                     c.plan_path,
-                                     "--out",
-                                     c.out_path,
-                                     "--unit",
-                                     std::to_string(c.job.unit),
-                                     "--attempt",
-                                     std::to_string(c.job.attempt)};
-    if (!c.job.fault.empty()) {
-      args.push_back("--fault");
-      args.push_back(c.job.fault);
-    }
-    if (c.job.mem_limit > 0) {
-      args.push_back("--mem-limit");
-      args.push_back(std::to_string(c.job.mem_limit));
-    }
-    if (c.job.trace) {
-      c.trace_path = stem + ".trace";
-      args.push_back("--trace-out");
-      args.push_back(c.trace_path);
-    }
-    c.pid = spawn_worker(exe_, args);
     c.start_s = monotonic_s();
+    bool written = false;
+    {
+      std::ofstream out(c.job.worker.plan_path, std::ios::trunc);
+      out << c.job.plan_text << "\n";
+      out.flush();
+      written = static_cast<bool>(out);
+    }
+    if (written) c.pid = runner::launch(exe_, c.job.worker);
     if (c.pid < 0) {
-      Value r = Value::object();
-      r.set("type", "result");
-      r.set("unit", c.job.unit);
-      r.set("attempt", c.job.attempt);
-      r.set("outcome", "spawn_failed");
-      r.set("detail", errno);
-      r.set("wall_s", 0.0);
-      (void)send_msg(r);
-      ::unlink(c.plan_path.c_str());
+      AttemptResult res;
+      res.outcome = "spawn_failed";
+      res.detail = errno;
+      (void)send_result(c.job.worker, res, 0.0);
+      ::unlink(c.job.worker.plan_path.c_str());
       return;
     }
     busy_.fetch_add(1, std::memory_order_acq_rel);
     children.push_back(std::move(c));
   };
 
-  // Reaps one finished child into a result message. The wait4
-  // classification mirrors the local runner's reap exactly, so a unit
-  // dies the same way whether its worker was local or remote.
+  // Reaps finished children into result messages, classified by the
+  // shared runner::try_reap — the same code the coordinator reaps its
+  // local children with.
   const auto reap = [&] {
     for (std::size_t i = 0; i < children.size();) {
       Child& c = children[i];
-      int status = 0;
-      rusage ru{};
-      const pid_t got = ::wait4(c.pid, &status, WNOHANG, &ru);
-      if (got != c.pid) {
+      const std::optional<AttemptResult> res = runner::try_reap(
+          c.pid, c.job.worker.out_path, c.job.worker.trace_path);
+      if (!res) {
         ++i;
         continue;
       }
-      Value r = Value::object();
-      r.set("type", "result");
-      r.set("unit", c.job.unit);
-      r.set("attempt", c.job.attempt);
-      r.set("pid", static_cast<std::int64_t>(c.pid));
-      r.set("wall_s", monotonic_s() - c.start_s);
-      r.set("max_rss_bytes",
-            static_cast<std::uint64_t>(ru.ru_maxrss) * 1024);  // KiB on Linux
-      r.set("cpu_user_s", static_cast<double>(ru.ru_utime.tv_sec) +
-                              static_cast<double>(ru.ru_utime.tv_usec) * 1e-6);
-      r.set("cpu_sys_s", static_cast<double>(ru.ru_stime.tv_sec) +
-                             static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
-      std::optional<std::string> fragment;
-      if (c.cancelled) {
-        r.set("outcome", "cancelled");
-      } else if (WIFSIGNALED(status)) {
-        r.set("outcome", "signal");
-        r.set("detail", WTERMSIG(status));
-      } else if (WIFEXITED(status) &&
-                 WEXITSTATUS(status) == runner::kOomExitCode) {
-        r.set("outcome", "oom");
-        r.set("detail", runner::kOomExitCode);
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        r.set("outcome", "exit");
-        r.set("detail", WEXITSTATUS(status));
-      } else if ((fragment = read_frame_file(c.out_path))) {
-        r.set("outcome", "ok");
-        r.set("fragment", *fragment);
-      } else {
-        r.set("outcome", "truncated");
-      }
-      if (!c.trace_path.empty()) {
-        if (const std::optional<std::string> trace = slurp(c.trace_path)) {
-          r.set("trace", *trace);
-        }
-      }
-      bool garble = false;
-      if (!c.job.fault.empty() && !c.cancelled) {
-        try {
-          const util::fault::Injector inject(c.job.fault);
-          garble = inject.match("garble_frame", c.job.unit, c.job.attempt) !=
-                   nullptr;
-        } catch (const std::exception&) {
-          // The coordinator validated the spec; an unparsable one here is
-          // inert rather than fatal.
-        }
-      }
-      if (garble) {
-        // Flip one payload byte AFTER framing: the length still parses,
-        // the CRC check is what has to catch it.
-        std::string bytes = encode_message(r);
-        bytes[util::journal::kFrameOverhead / 2 + bytes.size() / 2] ^= 0x20;
-        util::log::info("agent", "garbling result frame (fault injection)",
-                        {{"unit", c.job.unit}, {"attempt", c.job.attempt}});
-        (void)send_raw(bytes);
-      } else if (!send_msg(r)) {
-        // Peer gone mid-result: nothing to do — the poll loop below will
-        // see the EOF and tear the connection down.
-      }
+      // A failed send means the peer is gone mid-result: the poll loop
+      // below sees the EOF and tears the connection down.
+      (void)send_result(c.job.worker, *res, monotonic_s() - c.start_s);
       cleanup_child(c);
       children.erase(children.begin() + static_cast<std::ptrdiff_t>(i));
     }
@@ -389,28 +281,25 @@ void Agent::connection_loop(int fd) {
           if (!send_msg(w)) open = false;
         } else if (type == "dispatch") {
           Job job;
-          job.unit = static_cast<unsigned>(msg.get_uint("unit", 0));
-          job.attempt = static_cast<unsigned>(msg.get_uint("attempt", 0));
-          job.plan_text = msg.get_string("plan", "");
-          job.fault = msg.get_string("fault", "");
-          job.mem_limit =
-              static_cast<std::size_t>(msg.get_uint("mem_limit", 0));
-          if (const Value* t = msg.find("trace")) job.trace = t->as_bool();
-          bool drop = false;
-          if (!job.fault.empty()) {
-            try {
-              const util::fault::Injector inject(job.fault);
-              drop = inject.match("drop_conn", job.unit, job.attempt) !=
-                     nullptr;
-            } catch (const std::exception&) {
-            }
+          runner::WorkerJob& w = job.worker;
+          w.unit = static_cast<unsigned>(msg.get_uint("unit", 0));
+          w.attempt = static_cast<unsigned>(msg.get_uint("attempt", 0));
+          w.fault = msg.get_string("fault", "");
+          w.mem_limit = static_cast<std::size_t>(msg.get_uint("mem_limit", 0));
+          const std::string stem = prefix + "u" + std::to_string(w.unit) +
+                                   ".a" + std::to_string(w.attempt);
+          w.plan_path = stem + ".plan";
+          w.out_path = stem + ".frame";
+          if (const Value* t = msg.find("trace"); t && t->as_bool()) {
+            w.trace_path = stem + ".trace";
           }
-          if (drop) {
+          job.plan_text = msg.get_string("plan", "");
+          if (fault_fires(w.fault, "drop_conn", w.unit, w.attempt)) {
             // Injected partition: children die, the socket slams shut,
             // and the coordinator's disconnect path takes it from here.
             util::log::info("agent",
                             "dropping connection (fault injection)",
-                            {{"unit", job.unit}, {"attempt", job.attempt}});
+                            {{"unit", w.unit}, {"attempt", w.attempt}});
             open = false;
             break;
           }
@@ -419,28 +308,25 @@ void Agent::connection_loop(int fd) {
           const unsigned unit = static_cast<unsigned>(msg.get_uint("unit", 0));
           const unsigned attempt =
               static_cast<unsigned>(msg.get_uint("attempt", 0));
-          bool queued = false;
-          for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (it->unit == unit && it->attempt == attempt) {
-              queue.erase(it);
-              queued = true;
-              break;
-            }
-          }
-          if (queued) {
-            Value r = Value::object();
-            r.set("type", "result");
-            r.set("unit", unit);
-            r.set("attempt", attempt);
-            r.set("outcome", "cancelled");
-            r.set("wall_s", 0.0);
-            if (!send_msg(r)) open = false;
+          const auto queued = std::find_if(
+              queue.begin(), queue.end(), [&](const Job& j) {
+                return j.worker.unit == unit && j.worker.attempt == attempt;
+              });
+          if (queued != queue.end()) {
+            // Never started: nothing to classify, the job just goes.
+            AttemptResult res;
+            res.outcome = "cancelled";
+            const bool sent = send_result(queued->worker, res, 0.0);
+            queue.erase(queued);
+            if (!sent) open = false;
           } else {
-            for (Child& c : children) {
-              if (c.job.unit == unit && c.job.attempt == attempt &&
-                  !c.cancelled) {
-                c.cancelled = true;
-                if (c.pid > 0) ::kill(c.pid, SIGKILL);
+            // A running child is killed and reaped like any other: its
+            // wait status — or the fragment it finished first — is the
+            // result; the coordinator decides what that means.
+            for (const Child& c : children) {
+              if (c.job.worker.unit == unit &&
+                  c.job.worker.attempt == attempt) {
+                ::kill(c.pid, SIGKILL);
               }
             }
           }

@@ -14,9 +14,10 @@
 //   agent → coordinator
 //     {"type":"welcome","proto":1,"slots":N,"pid":P}
 //     {"type":"heartbeat"}                          liveness, every ~250 ms
-//     {"type":"result","unit":U,"attempt":A,"outcome":"ok|exit|signal|oom|
-//      truncated|spawn_failed|cancelled","detail":D,"pid":P,"wall_s":W,
-//      "max_rss_bytes":R,"cpu_user_s":…,"cpu_sys_s":…,
+//     {"type":"result","unit":U,"attempt":A,"wall_s":W,
+//      — then runner::AttemptResult::to_json():
+//      "outcome":"ok|exit|signal|oom|truncated|spawn_failed|cancelled",
+//      "detail":D,"pid":P,"max_rss_bytes":R,"cpu_user_s":…,"cpu_sys_s":…,
 //      "fragment":"<RunReport JSON>",               ok only
 //      "trace":"<trace doc JSON>"}                  when tracing was asked
 //
@@ -59,9 +60,10 @@ class FrameReader {
 /// transmission for every protocol message.
 [[nodiscard]] std::string encode_message(const util::json::Value& msg);
 
-/// Reads a worker's single-frame output file (the same contract the
-/// runner's fragment reader enforces: exactly one clean frame, nothing
-/// after it) and returns the payload; nullopt on missing/torn/dirty.
+/// Reads a single-frame fragment file — a worker's output or a journaled
+/// unit<u>.frag — and returns the payload: exactly one clean frame,
+/// nothing after it, else nullopt (missing/torn/dirty). A checksum is the
+/// honest version of "the worker finished its write".
 [[nodiscard]] std::optional<std::string> read_frame_file(
     const std::string& path);
 

@@ -1,8 +1,8 @@
 #include "runner/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,9 +15,7 @@
 
 #include <dirent.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "net/framing.hpp"
@@ -38,10 +36,29 @@ namespace {
 namespace journal = util::journal;
 using util::json::Value;
 
-double monotonic_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Plan options that say how a plan is distributed, never what it
+/// computes: a resume may change them, and comparable() ignores them.
+constexpr std::array<std::string_view, 4> kDistributionOptions = {
+    "workers", "shard_timeout", "max_retries", "fault"};
+
+/// A plan's JSON with kDistributionOptions removed from its options.
+Value without_distribution(const Value& plan_json) {
+  Value out = Value::object();
+  for (const auto& [key, value] : plan_json.members()) {
+    if (key != "options") {
+      out.set(key, value);
+      continue;
+    }
+    Value o = Value::object();
+    for (const auto& [okey, ovalue] : value.members()) {
+      if (std::find(kDistributionOptions.begin(), kDistributionOptions.end(),
+                    okey) == kDistributionOptions.end()) {
+        o.set(okey, ovalue);
+      }
+    }
+    out.set("options", std::move(o));
+  }
+  return out;
 }
 
 /// One work unit of the decomposed plan: a child plan a worker executes to
@@ -108,11 +125,6 @@ std::vector<Unit> decompose(const api::RunPlan& plan,
   return units;
 }
 
-std::string tmp_dir() {
-  const char* dir = std::getenv("TMPDIR");
-  return (dir != nullptr && *dir != '\0') ? dir : "/tmp";
-}
-
 /// A SIGKILLed coordinator used to leak its kronotri.<pid>.* scratch files
 /// in $TMPDIR forever (cleanup only ran on the success path). Every
 /// execute() starts by sweeping scratch whose owning pid is gone.
@@ -147,7 +159,8 @@ std::string frag_path(const std::string& dir, unsigned unit) {
   return dir + "/unit" + std::to_string(unit) + ".frag";
 }
 
-/// Deletes a journal directory's contents: always the tmp.* scratch, and
+/// Deletes a journal directory's contents: always the scratch (tmp.* and
+/// the *.tmp.<pid> of an interrupted atomic write), and
 /// (unless scratch_only) the journal and fragment files too — the fresh
 /// `--journal` start must not resurrect an older run's records, while a
 /// resume clears only scratch.
@@ -157,7 +170,8 @@ void clear_journal_dir(const std::string& dir, bool scratch_only) {
   std::vector<std::string> doomed;
   while (dirent* ent = ::readdir(d)) {
     const std::string_view name(ent->d_name);
-    const bool scratch = name.substr(0, 4) == "tmp.";
+    const bool scratch = name.substr(0, 4) == "tmp." ||
+                         name.find(".tmp.") != std::string_view::npos;
     const bool durable =
         name == kJournalFile ||
         (name.substr(0, 4) == "unit" && name.size() > 5 &&
@@ -168,53 +182,6 @@ void clear_journal_dir(const std::string& dir, bool scratch_only) {
   }
   ::closedir(d);
   for (const std::string& path : doomed) ::unlink(path.c_str());
-}
-
-pid_t spawn_worker(const std::string& exe,
-                   const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    // Child: exec immediately — no OpenMP, no allocation-heavy work
-    // between fork and exec (the parent may hold libgomp/locale state a
-    // forked child must not touch).
-    ::execv(exe.c_str(), argv.data());
-    ::_exit(127);
-  }
-  return pid;
-}
-
-struct Fragment {
-  Value json;
-  std::string payload;  ///< exact bytes the journal digest covers
-};
-
-/// A complete fragment is exactly ONE clean CRC64 frame with nothing after
-/// it. A trailing newline used to stand in for "the worker finished its
-/// write" — a checksum is the honest version of that claim: a torn frame,
-/// trailing garbage, a flipped byte or a parse failure all classify as
-/// "truncated"/"corrupt", never as a result.
-std::optional<Fragment> read_fragment(const std::string& path) {
-  const std::optional<std::string> bytes = journal::read_file(path);
-  if (!bytes) return std::nullopt;
-  journal::Decoded dec = journal::decode_frames(*bytes);
-  if (dec.tail != journal::Decoded::Tail::kClean || dec.frames.size() != 1 ||
-      dec.valid_bytes != bytes->size()) {
-    return std::nullopt;
-  }
-  try {
-    Fragment f;
-    f.json = Value::parse(dec.frames[0]);
-    f.payload = std::move(dec.frames[0]);
-    return f;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
 }
 
 /// Per-unit facts recovered from a journal.
@@ -333,9 +300,9 @@ struct RunningAttempt {
   double start_us = 0;      // obs::now_us() at spawn, for the attempt span
   std::string out_path;
   std::string trace_path;   // worker trace scratch ("" when tracing is off)
-  bool timed_out = false;   // we SIGKILLed it past its deadline
+  bool timed_out = false;   // stopped past its deadline
   bool superseded = false;  // another attempt of the unit already won
-  bool aborted = false;     // run is failing, everything was killed
+  bool aborted = false;     // run is failing, everything was stopped
 };
 
 /// Coordinator-side state of one --agents endpoint. The connection is a
@@ -441,52 +408,11 @@ Options options_from(const api::RunPlan& plan) {
 }
 
 std::uint64_t plan_identity_hash(const api::RunPlan& plan) {
-  // Strip exactly the options comparable() strips: how the plan is
-  // distributed (workers, timeouts, retries, faults) may change across a
-  // resume; everything content-bearing (spec, analyses, threads/partition
-  // count, budgets, output) is pinned.
-  const Value v = plan.to_json();
-  Value out = Value::object();
-  for (const auto& [key, value] : v.members()) {
-    if (key != "options") {
-      out.set(key, value);
-      continue;
-    }
-    Value o = Value::object();
-    for (const auto& [okey, ovalue] : value.members()) {
-      if (okey == "workers" || okey == "shard_timeout" ||
-          okey == "max_retries" || okey == "fault") {
-        continue;
-      }
-      o.set(okey, ovalue);
-    }
-    out.set("options", std::move(o));
-  }
-  return util::json::hash64(out.dump_canonical_string());
-}
-
-std::string default_worker_exe() {
-  if (const char* env = std::getenv("KRONOTRI_BIN");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    const std::string self(buf);
-    const std::size_t slash = self.rfind('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : self.substr(0, slash);
-    if (self.substr(slash + 1) == "kronotri") return self;
-    // Test and bench binaries live in the build tree next to (or one
-    // level below) the CLI binary.
-    for (const std::string& cand : {dir + "/kronotri", dir + "/../kronotri"}) {
-      if (::access(cand.c_str(), X_OK) == 0) return cand;
-    }
-  }
-  if (::access("./kronotri", X_OK) == 0) return "./kronotri";
-  return "";
+  // How the plan is distributed may change across a resume; everything
+  // content-bearing (spec, analyses, threads/partition count, budgets,
+  // output) is pinned.
+  return util::json::hash64(
+      without_distribution(plan.to_json()).dump_canonical_string());
 }
 
 api::RunReport execute(const api::RunPlan& plan) {
@@ -619,14 +545,14 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       e.attempt = ur.attempt;
       bool verified = false;
       try {
-        std::optional<Fragment> frag =
-            read_fragment(frag_path(opt.journal_dir, e.unit));
-        if (frag && journal::crc64(frag->payload) == ur.digest &&
-            util::json::hash64(frag->json.dump_canonical_string()) ==
-                ur.canon) {
-          bool semantic_ok = true;
-          if (ur.has_vfp && units[i].kind == "validate") {
-            const api::RunReport fr = api::RunReport::from_json(frag->json);
+        const std::optional<std::string> payload =
+            net::read_frame_file(frag_path(opt.journal_dir, e.unit));
+        if (payload && journal::crc64(*payload) == ur.digest) {
+          Value frag = Value::parse(*payload);
+          bool semantic_ok =
+              util::json::hash64(frag.dump_canonical_string()) == ur.canon;
+          if (semantic_ok && ur.has_vfp && units[i].kind == "validate") {
+            const api::RunReport fr = api::RunReport::from_json(frag);
             semantic_ok =
                 validate::ValidationReport::from_json(
                     fr.analyses.at(0).data)
@@ -634,7 +560,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
           }
           if (semantic_ok) {
             st.done = true;
-            st.fragment = std::move(frag->json);
+            st.fragment = std::move(frag);
             verified = true;
           }
         }
@@ -706,11 +632,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       remotes.push_back(std::move(r));
     }
   }
-  const auto local_count = [&]() -> unsigned {
-    unsigned n = 0;
-    for (const RunningAttempt& ra : running) n += ra.agent < 0 ? 1 : 0;
-    return n;
-  };
+  // Attempts in flight on agent `ai`; -1 counts the local slots.
   const auto agent_busy = [&](int ai) -> unsigned {
     unsigned n = 0;
     for (const RunningAttempt& ra : running) n += ra.agent == ai ? 1 : 0;
@@ -721,7 +643,7 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
            agent_busy(ai) < r.slots;
   };
   const auto free_capacity = [&]() -> bool {
-    if (local_count() < opt.workers) return true;
+    if (agent_busy(-1) < opt.workers) return true;
     for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
       if (agent_free(remotes[ai], static_cast<int>(ai))) return true;
     }
@@ -740,121 +662,21 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     }
     return -1;
   };
-  const auto send_cancel = [&](const RunningAttempt& ra) {
-    if (ra.agent < 0 || !remotes[ra.agent].client.connected()) return;
+  // Stops one attempt: SIGKILL for a local child, `cancel` for a remote
+  // one. Either way the attempt still settles through its normal
+  // completion source, where its flags decide the outcome. A cancel that
+  // finds the connection gone closes it; the upkeep pass then drops the
+  // agent and settles what it had in flight.
+  const auto stop_attempt = [&](const RunningAttempt& ra) {
+    if (ra.agent < 0) {
+      if (ra.pid > 0) ::kill(ra.pid, SIGKILL);
+      return;
+    }
     Value c = Value::object();
     c.set("type", "cancel");
     c.set("unit", ra.unit);
     c.set("attempt", ra.attempt);
     (void)remotes[ra.agent].client.send(c);
-  };
-
-  const auto dispatch = [&](unsigned unit_id) -> bool {
-    UnitState& st = states[unit_id];
-    RunningAttempt ra;
-    ra.unit = unit_id;
-    ra.attempt = st.next_attempt++;
-    ra.agent = remotes.empty() ? -1 : pick_agent();
-    ra.out_path = prefix + "u" + std::to_string(unit_id) + ".a" +
-                  std::to_string(ra.attempt) + ".frame";
-    cleanup.push_back(ra.out_path);
-    // WAL the dispatch BEFORE the spawn: after a crash the journal then
-    // names every attempt that may ever have existed, so a resume picks
-    // attempt numbers no orphaned worker could still be writing under.
-    if (wal.is_open()) {
-      Value rec = Value::object();
-      rec.set("type", "dispatch");
-      rec.set("unit", unit_id);
-      rec.set("attempt", ra.attempt);
-      wal.append(rec.dump_string(0));
-    }
-    if (ra.agent >= 0) {
-      RemoteAgent& r = remotes[ra.agent];
-      Value d = Value::object();
-      d.set("type", "dispatch");
-      d.set("unit", unit_id);
-      d.set("attempt", ra.attempt);
-      d.set("plan", plan_texts[unit_id]);
-      if (!opt.fault_spec.empty()) d.set("fault", opt.fault_spec);
-      if (opt.worker_mem_limit_bytes > 0) {
-        d.set("mem_limit", opt.worker_mem_limit_bytes);
-      }
-      if (obs::TraceRecorder::instance().enabled()) d.set("trace", true);
-      ra.start_s = monotonic_s();
-      ra.start_us = obs::now_us();
-      if (!r.client.send(d)) {
-        // The connection died under the dispatch. Nothing ran, so nothing
-        // is charged: the unit goes straight back to pending and the
-        // agent into its redial backoff.
-        r.welcomed = false;
-        r.slots = 0;
-        r.next_dial_s =
-            monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
-        ++r.dial_failures;
-        pending.push_back({unit_id, 0.0});
-        return true;
-      }
-      any_spawned = true;
-      obs::counter("runner.remote_dispatches").add();
-      if (ra.attempt > 0) obs::counter("runner.retries").add();
-      util::log::debug("runner", "dispatched to agent",
-                       {{"unit", unit_id},
-                        {"attempt", ra.attempt},
-                        {"agent", r.endpoint}});
-      running.push_back(std::move(ra));
-      return true;
-    }
-    std::vector<std::string> args = {exe,
-                                     "__worker",
-                                     "--plan-file",
-                                     plan_files[unit_id],
-                                     "--out",
-                                     ra.out_path,
-                                     "--unit",
-                                     std::to_string(unit_id),
-                                     "--attempt",
-                                     std::to_string(ra.attempt)};
-    if (!opt.fault_spec.empty()) {
-      args.push_back("--fault");
-      args.push_back(opt.fault_spec);
-    }
-    if (opt.worker_mem_limit_bytes > 0) {
-      args.push_back("--mem-limit");
-      args.push_back(std::to_string(opt.worker_mem_limit_bytes));
-    }
-    obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-    if (trace.enabled()) {
-      // Trace context rides the hidden __worker argv: the worker records
-      // on the shared CLOCK_MONOTONIC axis and dumps its buffer here; the
-      // coordinator stitches the file in after the reap.
-      ra.trace_path = prefix + "u" + std::to_string(unit_id) + ".a" +
-                      std::to_string(ra.attempt) + ".trace";
-      cleanup.push_back(ra.trace_path);
-      args.push_back("--trace-out");
-      args.push_back(ra.trace_path);
-    }
-    ra.pid = spawn_worker(exe, args);
-    ra.start_s = monotonic_s();
-    ra.start_us = obs::now_us();
-    obs::counter("runner.dispatches").add();
-    if (ra.attempt > 0) obs::counter("runner.retries").add();
-    util::log::debug("runner", "dispatched worker",
-                     {{"unit", unit_id},
-                      {"attempt", ra.attempt},
-                      {"pid", static_cast<std::int64_t>(ra.pid)}});
-    if (ra.pid < 0) {
-      api::WorkerEvent e;
-      e.unit = unit_id;
-      e.kind = units[unit_id].kind;
-      e.attempt = ra.attempt;
-      e.outcome = "spawn_failed";
-      e.detail = errno;
-      events.push_back(e);
-      return false;
-    }
-    any_spawned = true;
-    running.push_back(std::move(ra));
-    return true;
   };
 
   const auto fail_unit = [&](unsigned unit_id, const std::string& why) {
@@ -866,26 +688,9 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     util::log::error("runner", "unit exhausted its retry budget",
                      {{"unit", unit_id}, {"why", why}});
     pending.clear();
-    for (std::size_t i = 0; i < running.size();) {
-      RunningAttempt& ra = running[i];
-      if (ra.agent < 0) {
-        ra.aborted = true;
-        if (ra.pid > 0) ::kill(ra.pid, SIGKILL);
-        ++i;
-        continue;
-      }
-      // Remote attempts have no child to reap: cancel best-effort and
-      // record the abort now so the drain loop only waits on local pids.
-      send_cancel(ra);
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.outcome = "aborted";
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.host = remotes[ra.agent].endpoint;
-      events.push_back(e);
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+    for (RunningAttempt& ra : running) {
+      ra.aborted = true;
+      stop_attempt(ra);
     }
   };
 
@@ -922,72 +727,133 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     pending.push_back({ra.unit, monotonic_s() + delay_s});
   };
 
-  // Unit completion from a verified fragment — shared by the local reap
-  // and the remote result path. Persists into the journal, then
-  // supersedes every other in-flight attempt of the unit (first result
-  // wins, exactly as for local children).
-  const auto complete_ok = [&](const RunningAttempt& ra, Fragment&& frag) {
+  // Unit completion from a verified fragment. Persists into the journal,
+  // then supersedes every other in-flight attempt of the unit (first
+  // result wins).
+  const auto complete_ok = [&](const RunningAttempt& ra,
+                               const std::string& payload, Value json) {
     UnitState& st = states[ra.unit];
     st.done = true;
     if (wal.is_open()) {
-      // Persist-then-record: the fragment becomes DIR/unit<u>.frag by
-      // rename (never copied, never unlinked), THEN the done record
-      // lands in the WAL. A crash between the two re-executes the
-      // unit — wasteful, never wrong.
+      // Persist-then-record: the fragment becomes DIR/unit<u>.frag by an
+      // fsynced rename, THEN the done record lands in the WAL. A crash
+      // between the two re-executes the unit — wasteful, never wrong.
       const std::string fpath = frag_path(opt.journal_dir, ra.unit);
       Value rec = Value::object();
       rec.set("type", "done");
       rec.set("unit", ra.unit);
       rec.set("attempt", ra.attempt);
-      rec.set("digest", journal::crc64(frag.payload));
-      rec.set("canon", util::json::hash64(frag.json.dump_canonical_string()));
+      rec.set("digest", journal::crc64(payload));
+      rec.set("canon", util::json::hash64(json.dump_canonical_string()));
       if (units[ra.unit].kind == "validate") {
-        const api::RunReport fr = api::RunReport::from_json(frag.json);
+        const api::RunReport fr = api::RunReport::from_json(json);
         rec.set("vfp",
                 validate::ValidationReport::from_json(fr.analyses.at(0).data)
                     .fingerprint());
       }
-      if (const util::fault::Action* torn =
-              inject.match("torn_write", ra.unit, ra.attempt)) {
+      const std::string frame = journal::encode_frame(payload);
+      if (inject.match("torn_write", ra.unit, ra.attempt) != nullptr) {
         // Injected coordinator crash mid-persist: write half the
         // fragment frame, no fsync, but still journal the done record
         // (the order a real crash between write and rename produces
         // is covered by the plain re-execute path; THIS is the nastier
         // inversion resume must catch by digest).
-        (void)torn;
-        const std::string frame = journal::encode_frame(frag.payload);
         std::ofstream out(fpath, std::ios::binary | std::ios::trunc);
         out.write(frame.data(),
                   static_cast<std::streamsize>(frame.size() / 2));
       } else {
-        journal::fsync_file_and_dir(ra.out_path);
-        if (::rename(ra.out_path.c_str(), fpath.c_str()) != 0) {
-          throw std::runtime_error("runner: cannot persist fragment " +
-                                   fpath);
-        }
-        journal::fsync_file_and_dir(fpath);
+        journal::atomic_write_file(fpath, frame);
       }
       wal.append(rec.dump_string(0));
     }
-    st.fragment = std::move(frag.json);
-    // First result wins: kill/cancel any other in-flight attempt.
+    st.fragment = std::move(json);
     for (RunningAttempt& other : running) {
-      if (other.unit == ra.unit && !other.superseded &&
-          !(other.attempt == ra.attempt && other.agent == ra.agent)) {
+      if (other.unit == ra.unit && !other.superseded) {
         other.superseded = true;
-        if (other.agent < 0) {
-          if (other.pid > 0) ::kill(other.pid, SIGKILL);
-        } else {
-          send_cancel(other);
-        }
+        stop_attempt(other);
       }
     }
   };
 
+  // One finished attempt, local or remote, already taken out of
+  // `running`: classify it by settle_outcome(), record its event, trace
+  // span, RSS gauge and log line, then complete or charge its unit.
+  const auto settle = [&](const RunningAttempt& ra, AttemptResult res,
+                          const std::string& host) {
+    Value frag;
+    if (res.outcome == "ok") {
+      try {
+        frag = Value::parse(res.fragment);
+      } catch (const std::exception&) {
+        res.outcome = "truncated";  // a verified frame of non-JSON
+      }
+    }
+    api::WorkerEvent e;
+    e.unit = ra.unit;
+    e.kind = units[ra.unit].kind;
+    e.attempt = ra.attempt;
+    e.pid = res.pid;
+    e.detail = res.detail;
+    e.wall_s = monotonic_s() - ra.start_s;
+    e.host = host;
+    e.max_rss_bytes = res.max_rss_bytes;
+    e.cpu_user_s = res.cpu_user_s;
+    e.cpu_sys_s = res.cpu_sys_s;
+    // A run that failed while this attempt was out of `running` (the rest
+    // of a dropped agent's attempts) aborts it just the same.
+    e.outcome = settle_outcome({ra.aborted || !error.empty(),
+                                ra.superseded || states[ra.unit].done,
+                                ra.timed_out},
+                               res.outcome);
+    events.push_back(e);
+
+    obs::TraceRecorder& trace = obs::TraceRecorder::instance();
+    if (trace.enabled()) {
+      // Stitch the worker's own timeline in first (a remote one keyed by
+      // its agent), then close the attempt span on its synthetic track.
+      if (!res.trace.empty()) trace.import_text(res.trace, host);
+      Value targs = Value::object();
+      targs.set("unit", e.unit);
+      targs.set("kind", e.kind);
+      targs.set("attempt", e.attempt);
+      targs.set("pid", static_cast<std::int64_t>(e.pid));
+      targs.set("outcome", e.outcome);
+      if (!host.empty()) targs.set("agent", host);
+      trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
+                        ra.start_us, obs::now_us() - ra.start_us,
+                        std::move(targs));
+      if (e.pid > 0) {
+        trace.counter("runner.worker_max_rss_bytes",
+                      static_cast<double>(e.max_rss_bytes));
+        trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
+      }
+    }
+    obs::gauge("runner.worker_max_rss_bytes")
+        .max_of(static_cast<double>(e.max_rss_bytes));
+    const std::string where = host.empty() ? "local" : host;
+    if (e.outcome == "ok") {
+      util::log::debug("runner", "attempt ok",
+                       {{"unit", e.unit},
+                        {"attempt", e.attempt},
+                        {"where", where},
+                        {"wall_s", e.wall_s}});
+      complete_ok(ra, res.fragment, std::move(frag));
+    } else if (const std::string why = failure_reason(e.outcome, e.detail);
+               !why.empty()) {
+      util::log::warn("runner", "attempt failed",
+                      {{"unit", e.unit},
+                       {"attempt", e.attempt},
+                       {"where", where},
+                       {"outcome", e.outcome},
+                       {"detail", e.detail}});
+      on_failure(ra, why);
+    }
+  };
+
   // Transport damage on one agent: drop the connection, schedule a
-  // backed-off redial, and classify every in-flight attempt of the agent.
-  // "disconnect"/"garbled" charge the unit's retry budget exactly like a
-  // SIGKILLed local child; superseded/done attempts are losses only.
+  // backed-off redial, and settle every in-flight attempt of the agent as
+  // "disconnect"/"garbled" — charged exactly like a SIGKILLed local
+  // child unless it was already lost or aborted.
   const auto drop_agent = [&](int ai, const std::string& outcome) {
     RemoteAgent& r = remotes[ai];
     r.client.close();
@@ -1001,45 +867,100 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
         .add();
     util::log::warn("runner", "agent connection lost",
                     {{"agent", r.endpoint}, {"outcome", outcome}});
-    for (std::size_t i = 0; i < running.size();) {
-      if (running[i].agent != ai) {
-        ++i;
-        continue;
-      }
-      const RunningAttempt ra = running[i];
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-      UnitState& st = states[ra.unit];
-      const bool charged = !(ra.superseded || ra.aborted || st.done);
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.host = r.endpoint;
-      e.outcome = ra.aborted ? "aborted"
-                  : charged  ? outcome
-                             : "speculative_loss";
-      events.push_back(e);
-      if (obs::TraceRecorder::instance().enabled()) {
-        Value targs = Value::object();
-        targs.set("unit", e.unit);
-        targs.set("attempt", e.attempt);
-        targs.set("outcome", e.outcome);
-        targs.set("agent", r.endpoint);
-        obs::TraceRecorder::instance().complete_on(
-            attempt_tid(e.unit, e.attempt), "attempt", ra.start_us,
-            obs::now_us() - ra.start_us, std::move(targs));
-      }
-      if (charged) {
-        on_failure(ra, outcome == "garbled"
-                           ? "returned a garbled result frame"
-                           : "lost its agent connection");
-        // on_failure may have failed the run; fail_unit then already
-        // drained every remote attempt (including the rest of ours).
-        if (!error.empty()) break;
-        i = 0;  // fail-safe: rescan, indices may have shifted
-      }
+    const auto gone = std::stable_partition(
+        running.begin(), running.end(),
+        [&](const RunningAttempt& ra) { return ra.agent != ai; });
+    const std::vector<RunningAttempt> lost(gone, running.end());
+    running.erase(gone, running.end());
+    AttemptResult res;
+    res.outcome = outcome;
+    for (const RunningAttempt& ra : lost) settle(ra, res, r.endpoint);
+  };
+
+  // Starts one attempt of a unit. False only when a local fork fails
+  // before anything ever ran — the caller then degrades to in-process.
+  const auto dispatch = [&](unsigned unit_id) -> bool {
+    UnitState& st = states[unit_id];
+    RunningAttempt ra;
+    ra.unit = unit_id;
+    ra.attempt = st.next_attempt++;
+    ra.agent = remotes.empty() ? -1 : pick_agent();
+    ra.out_path = prefix + "u" + std::to_string(unit_id) + ".a" +
+                  std::to_string(ra.attempt) + ".frame";
+    cleanup.push_back(ra.out_path);
+    // WAL the dispatch BEFORE the spawn: after a crash the journal then
+    // names every attempt that may ever have existed, so a resume picks
+    // attempt numbers no orphaned worker could still be writing under.
+    if (wal.is_open()) {
+      Value rec = Value::object();
+      rec.set("type", "dispatch");
+      rec.set("unit", unit_id);
+      rec.set("attempt", ra.attempt);
+      wal.append(rec.dump_string(0));
     }
+    const bool traced = obs::TraceRecorder::instance().enabled();
+    ra.start_s = monotonic_s();
+    ra.start_us = obs::now_us();
+    if (ra.agent >= 0) {
+      RemoteAgent& r = remotes[ra.agent];
+      Value d = Value::object();
+      d.set("type", "dispatch");
+      d.set("unit", unit_id);
+      d.set("attempt", ra.attempt);
+      d.set("plan", plan_texts[unit_id]);
+      if (!opt.fault_spec.empty()) d.set("fault", opt.fault_spec);
+      if (opt.worker_mem_limit_bytes > 0) {
+        d.set("mem_limit", opt.worker_mem_limit_bytes);
+      }
+      if (traced) d.set("trace", true);
+      if (!r.client.send(d)) {
+        // The connection died under the dispatch. This attempt never ran,
+        // so it is not charged: the unit goes straight back to pending,
+        // while the agent's other in-flight attempts settle as
+        // "disconnect" — left in `running`, nothing would ever settle them.
+        drop_agent(ra.agent, "disconnect");
+        if (error.empty()) pending.push_back({unit_id, 0.0});
+        return true;
+      }
+      obs::counter("runner.remote_dispatches").add();
+      util::log::debug("runner", "dispatched to agent",
+                       {{"unit", unit_id},
+                        {"attempt", ra.attempt},
+                        {"agent", r.endpoint}});
+    } else {
+      if (traced) {
+        // The worker dumps its trace buffer here; settle() stitches it.
+        ra.trace_path = prefix + "u" + std::to_string(unit_id) + ".a" +
+                        std::to_string(ra.attempt) + ".trace";
+        cleanup.push_back(ra.trace_path);
+      }
+      WorkerJob job;
+      job.unit = unit_id;
+      job.attempt = ra.attempt;
+      job.plan_path = plan_files[unit_id];
+      job.out_path = ra.out_path;
+      job.trace_path = ra.trace_path;
+      job.fault = opt.fault_spec;
+      job.mem_limit = opt.worker_mem_limit_bytes;
+      ra.pid = launch(exe, job);
+      if (ra.pid < 0) {
+        if (!any_spawned) return false;
+        AttemptResult res;
+        res.outcome = "spawn_failed";
+        res.detail = errno;
+        settle(ra, res, "");
+        return true;
+      }
+      obs::counter("runner.dispatches").add();
+      util::log::debug("runner", "dispatched worker",
+                       {{"unit", unit_id},
+                        {"attempt", ra.attempt},
+                        {"pid", static_cast<std::int64_t>(ra.pid)}});
+    }
+    if (ra.attempt > 0) obs::counter("runner.retries").add();
+    any_spawned = true;
+    running.push_back(std::move(ra));
+    return true;
   };
 
   // One message from an agent connection. Results are matched to their
@@ -1061,336 +982,114 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
     const unsigned unit = static_cast<unsigned>(m.get_uint("unit", ~0ull));
     const unsigned attempt =
         static_cast<unsigned>(m.get_uint("attempt", ~0ull));
-    std::size_t idx = running.size();
-    for (std::size_t i = 0; i < running.size(); ++i) {
-      if (running[i].agent == ai && running[i].unit == unit &&
-          running[i].attempt == attempt) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == running.size()) {
+    const auto it = std::find_if(
+        running.begin(), running.end(), [&](const RunningAttempt& ra) {
+          return ra.agent == ai && ra.unit == unit && ra.attempt == attempt;
+        });
+    if (it == running.end()) {
       obs::counter("runner.duplicate_results").add();
       util::log::debug("runner", "ignoring late/duplicate result",
                        {{"unit", unit}, {"attempt", attempt}});
       return;
     }
-    const RunningAttempt ra = running[idx];
-    running.erase(running.begin() + static_cast<std::ptrdiff_t>(idx));
-    UnitState& st = states[ra.unit];
-    api::WorkerEvent e;
-    e.unit = ra.unit;
-    e.kind = units[ra.unit].kind;
-    e.attempt = ra.attempt;
-    e.pid = static_cast<long>(m.get_uint("pid", 0));
-    e.wall_s = monotonic_s() - ra.start_s;
-    e.host = r.endpoint;
-    e.max_rss_bytes = static_cast<std::size_t>(m.get_uint("max_rss_bytes", 0));
-    if (const Value* v = m.find("cpu_user_s"); v && v->is_number()) {
-      e.cpu_user_s = v->as_double();
-    }
-    if (const Value* v = m.find("cpu_sys_s"); v && v->is_number()) {
-      e.cpu_sys_s = v->as_double();
-    }
-    const std::string outcome = m.get_string("outcome", "truncated");
-    e.detail = static_cast<int>(m.get_uint("detail", 0));
-    obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-    if (trace.enabled()) {
-      // The worker's trace buffer crossed the socket instead of $TMPDIR;
-      // the agent endpoint keys the imported pids into their own band.
-      if (const Value* t = m.find("trace"); t && t->is_string()) {
-        trace.import_text(t->as_string(), r.endpoint);
-      }
-    }
-
-    if (ra.aborted) {
-      e.outcome = "aborted";
-      events.push_back(e);
-    } else if (ra.superseded || st.done) {
-      e.outcome = "speculative_loss";
-      events.push_back(e);
-    } else if (outcome == "cancelled") {
-      if (ra.timed_out) {
-        e.outcome = "timeout";
-        events.push_back(e);
-        on_failure(ra, "timed out");
-      } else {
-        e.outcome = "speculative_loss";
-        events.push_back(e);
-      }
-    } else if (outcome == "ok") {
-      Fragment frag;
-      bool parsed = false;
-      if (const Value* f = m.find("fragment"); f && f->is_string()) {
-        try {
-          frag.json = Value::parse(f->as_string());
-          frag.payload = f->as_string();
-          parsed = true;
-        } catch (const std::exception&) {
-        }
-      }
-      if (parsed) {
-        e.outcome = "ok";
-        events.push_back(e);
-        if (wal.is_open()) {
-          // complete_ok's persist path renames ra.out_path into the
-          // journal — materialize the remote fragment there first, as the
-          // same CRC64 frame a local worker would have written.
-          const std::string frame = journal::encode_frame(frag.payload);
-          std::ofstream out(ra.out_path, std::ios::binary | std::ios::trunc);
-          out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-          out.flush();
-          if (!out) {
-            events.back().outcome = "truncated";
-            on_failure(ra, "could not stage the remote fragment");
-            return;
-          }
-        }
-        complete_ok(ra, std::move(frag));
-      } else {
-        e.outcome = "truncated";
-        events.push_back(e);
-        on_failure(ra, "returned an unparsable fragment");
-      }
-    } else if (outcome == "signal") {
-      e.outcome = "signal";
-      events.push_back(e);
-      on_failure(ra, "died on signal " + std::to_string(e.detail));
-    } else if (outcome == "oom") {
-      e.outcome = "oom";
-      events.push_back(e);
-      on_failure(ra, "exceeded its memory guard (RLIMIT_AS)");
-    } else if (outcome == "exit") {
-      e.outcome = "exit";
-      events.push_back(e);
-      on_failure(ra, "exited with code " + std::to_string(e.detail));
-    } else if (outcome == "spawn_failed") {
-      e.outcome = "spawn_failed";
-      events.push_back(e);
-      on_failure(ra, "could not be spawned on its agent");
-    } else {
-      e.outcome = "truncated";
-      events.push_back(e);
-      on_failure(ra, "wrote a truncated result frame");
-    }
-    if (trace.enabled()) {
-      Value targs = Value::object();
-      targs.set("unit", e.unit);
-      targs.set("kind", e.kind);
-      targs.set("attempt", e.attempt);
-      targs.set("outcome", e.outcome);
-      targs.set("agent", r.endpoint);
-      trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
-                        ra.start_us, obs::now_us() - ra.start_us,
-                        std::move(targs));
-    }
-    obs::gauge("runner.worker_max_rss_bytes")
-        .max_of(static_cast<double>(e.max_rss_bytes));
-    if (e.outcome == "ok") {
-      util::log::debug("runner", "remote attempt ok",
-                       {{"unit", e.unit},
-                        {"attempt", e.attempt},
-                        {"agent", r.endpoint},
-                        {"wall_s", e.wall_s}});
-    } else if (e.outcome != "speculative_loss" && e.outcome != "aborted") {
-      util::log::warn("runner", "remote attempt failed",
-                      {{"unit", e.unit},
-                       {"attempt", e.attempt},
-                       {"agent", r.endpoint},
-                       {"outcome", e.outcome},
-                       {"detail", e.detail}});
-    }
+    const RunningAttempt ra = *it;
+    running.erase(it);
+    settle(ra, AttemptResult::from_json(m), r.endpoint);
   };
 
   while (!running.empty() || (!pending.empty() && error.empty())) {
     const double now = monotonic_s();
 
     // Agent transport upkeep: (re)dial disconnected agents whose backoff
-    // elapsed, pump every live connection, and declare silent ones dead.
-    if (error.empty()) {
-      for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
-        RemoteAgent& r = remotes[ai];
-        if (r.client.connected() || pending.empty() ||
-            now < r.next_dial_s) {
-          continue;
-        }
-        std::string derr;
-        if (r.client.connect(r.endpoint, &derr)) {
-          r.last_rx_s = monotonic_s();
-          continue;
-        }
-        r.next_dial_s =
-            monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
-        ++r.dial_failures;
-        util::log::debug("runner", "agent dial failed",
-                         {{"agent", r.endpoint}, {"error", derr}});
+    // elapsed while work is pending, pump every live connection (also
+    // while a failing run drains), and declare silent ones dead.
+    for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
+      RemoteAgent& r = remotes[ai];
+      if (r.client.connected() || pending.empty() || now < r.next_dial_s) {
+        continue;
       }
-      for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
-        RemoteAgent& r = remotes[ai];
-        if (!r.client.connected()) continue;
-        std::vector<Value> msgs;
-        const net::AgentClient::Pump ps = r.client.pump(msgs);
-        if (!msgs.empty()) r.last_rx_s = monotonic_s();
-        for (const Value& m : msgs) {
-          handle_remote_msg(static_cast<int>(ai), m);
-        }
-        if (ps == net::AgentClient::Pump::kCorrupt) {
-          // A frame failed its CRC mid-stream. No resync is possible —
-          // drop the connection and re-dispatch whatever was in flight.
-          drop_agent(static_cast<int>(ai), "garbled");
-        } else if (ps == net::AgentClient::Pump::kClosed) {
-          drop_agent(static_cast<int>(ai), "disconnect");
-        } else if (opt.heartbeat_timeout_s > 0 &&
-                   monotonic_s() - r.last_rx_s > opt.heartbeat_timeout_s) {
-          drop_agent(static_cast<int>(ai), "disconnect");
-        }
+      std::string derr;
+      if (r.client.connect(r.endpoint, &derr)) {
+        r.last_rx_s = monotonic_s();
+        continue;
       }
-      // Pure-remote runs must not spin forever against a dead fleet: once
-      // every agent's dial budget mirrors the unit retry budget with no
-      // connection and nothing in flight, fail structurally.
-      if (error.empty() && opt.workers == 0 && !remotes.empty() &&
-          running.empty() && !pending.empty()) {
-        bool any_conn = false;
-        bool all_exhausted = true;
-        for (const RemoteAgent& r : remotes) {
-          any_conn = any_conn || r.client.connected();
-          all_exhausted = all_exhausted && r.dial_failures > opt.max_retries + 1;
+      r.next_dial_s =
+          monotonic_s() + opt.backoff.delay_s(std::min(r.dial_failures, 6u));
+      ++r.dial_failures;
+      util::log::debug("runner", "agent dial failed",
+                       {{"agent", r.endpoint}, {"error", derr}});
+    }
+    for (std::size_t ai = 0; ai < remotes.size(); ++ai) {
+      RemoteAgent& r = remotes[ai];
+      const int a = static_cast<int>(ai);
+      if (!r.client.connected()) {
+        // A send (a cancel) found the peer gone and closed the client.
+        if (agent_busy(a) > 0) drop_agent(a, "disconnect");
+        continue;
+      }
+      std::vector<Value> msgs;
+      const net::AgentClient::Pump ps = r.client.pump(msgs);
+      if (!msgs.empty()) r.last_rx_s = monotonic_s();
+      for (const Value& m : msgs) handle_remote_msg(a, m);
+      if (ps == net::AgentClient::Pump::kCorrupt) {
+        // A frame failed its CRC mid-stream. No resync is possible —
+        // drop the connection and re-dispatch whatever was in flight.
+        drop_agent(a, "garbled");
+      } else if (ps == net::AgentClient::Pump::kClosed) {
+        drop_agent(a, "disconnect");
+      } else if (opt.heartbeat_timeout_s > 0 &&
+                 monotonic_s() - r.last_rx_s > opt.heartbeat_timeout_s) {
+        drop_agent(a, "disconnect");
+      }
+    }
+    // Pure-remote runs must not spin forever against a dead fleet: once
+    // every agent's dial budget mirrors the unit retry budget with no
+    // connection and nothing in flight, fail structurally.
+    if (error.empty() && opt.workers == 0 && !remotes.empty() &&
+        running.empty() && !pending.empty()) {
+      bool any_conn = false;
+      bool all_exhausted = true;
+      for (const RemoteAgent& r : remotes) {
+        any_conn = any_conn || r.client.connected();
+        all_exhausted = all_exhausted && r.dial_failures > opt.max_retries + 1;
+      }
+      if (!any_conn && all_exhausted) {
+        std::string list;
+        for (const std::string& ep : opt.agents) {
+          if (!list.empty()) list += ",";
+          list += ep;
         }
-        if (!any_conn && all_exhausted) {
-          std::string list;
-          for (const std::string& ep : opt.agents) {
-            if (!list.empty()) list += ",";
-            list += ep;
-          }
-          error = "no reachable agents (" + list + ")";
-          util::log::error("runner", "no reachable agents",
-                           {{"agents", list}});
-          pending.clear();
-        }
+        error = "no reachable agents (" + list + ")";
+        util::log::error("runner", "no reachable agents",
+                         {{"agents", list}});
+        pending.clear();
       }
     }
 
-    // Deadline enforcement: SIGKILL a local worker past its per-attempt
-    // budget (the reap below classifies it "timeout"); a remote attempt
-    // is marked and cancelled, classified when the agent acknowledges —
-    // or when its connection drops.
+    // Deadline enforcement: stop an attempt past its per-attempt budget;
+    // it settles "timeout" unless a verified fragment beats the kill.
     for (RunningAttempt& ra : running) {
       if (opt.shard_timeout_s > 0 && !ra.timed_out && !ra.aborted &&
           now - ra.start_s > opt.shard_timeout_s) {
         ra.timed_out = true;
-        if (ra.agent < 0) {
-          ::kill(ra.pid, SIGKILL);
-        } else {
-          send_cancel(ra);
-        }
+        stop_attempt(ra);
       }
     }
 
-    // Reap (local children only; remote attempts resolve via pump above).
+    // Reap local children; remote attempts settle through the pump above.
     for (std::size_t i = 0; i < running.size();) {
-      RunningAttempt& ra = running[i];
-      if (ra.agent >= 0) {
+      std::optional<AttemptResult> res;
+      if (running[i].agent < 0) {
+        res = try_reap(running[i].pid, running[i].out_path,
+                       running[i].trace_path);
+      }
+      if (!res) {
         ++i;
         continue;
       }
-      int status = 0;
-      rusage ru{};
-      // wait4 = waitpid + the child's rusage: per-attempt peak RSS and
-      // split user/sys CPU land in the worker event for free.
-      const pid_t got = ::wait4(ra.pid, &status, WNOHANG, &ru);
-      if (got != ra.pid) {
-        ++i;
-        continue;
-      }
-      api::WorkerEvent e;
-      e.unit = ra.unit;
-      e.kind = units[ra.unit].kind;
-      e.attempt = ra.attempt;
-      e.pid = ra.pid;
-      e.wall_s = monotonic_s() - ra.start_s;
-      e.max_rss_bytes =
-          static_cast<std::size_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-      e.cpu_user_s = static_cast<double>(ru.ru_utime.tv_sec) +
-                     static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
-      e.cpu_sys_s = static_cast<double>(ru.ru_stime.tv_sec) +
-                    static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
-      UnitState& st = states[ra.unit];
-
-      if (ra.aborted) {
-        e.outcome = "aborted";
-        if (WIFSIGNALED(status)) e.detail = WTERMSIG(status);
-        events.push_back(e);
-      } else if (ra.superseded || st.done) {
-        // The unit was already won by another attempt — whatever this one
-        // did (finished, crashed, got killed) is a speculative loss, never
-        // a budget-charged failure.
-        e.outcome = "speculative_loss";
-        events.push_back(e);
-      } else if (ra.timed_out) {
-        e.outcome = "timeout";
-        e.detail = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-        events.push_back(e);
-        on_failure(ra, "timed out");
-      } else if (WIFSIGNALED(status)) {
-        e.outcome = "signal";
-        e.detail = WTERMSIG(status);
-        events.push_back(e);
-        on_failure(ra, "died on signal " + std::to_string(e.detail));
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) == kOomExitCode) {
-        // The worker's RLIMIT_AS guard (or the oom fault) tripped its
-        // std::bad_alloc path — a resource verdict, not a generic "exit".
-        e.outcome = "oom";
-        e.detail = kOomExitCode;
-        events.push_back(e);
-        on_failure(ra, "exceeded its memory guard (RLIMIT_AS)");
-      } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-        e.outcome = "exit";
-        e.detail = WEXITSTATUS(status);
-        events.push_back(e);
-        on_failure(ra, "exited with code " + std::to_string(e.detail));
-      } else if (std::optional<Fragment> frag = read_fragment(ra.out_path)) {
-        e.outcome = "ok";
-        events.push_back(e);
-        complete_ok(ra, std::move(*frag));
-      } else {
-        e.outcome = "truncated";
-        events.push_back(e);
-        on_failure(ra, "wrote a truncated result frame");
-      }
-      obs::TraceRecorder& trace = obs::TraceRecorder::instance();
-      if (trace.enabled()) {
-        // Stitch the worker's own timeline in first (missing/truncated
-        // files from killed workers are tolerated), then close the
-        // coordinator-side attempt span on its synthetic track.
-        if (!ra.trace_path.empty()) trace.import_file(ra.trace_path);
-        Value targs = Value::object();
-        targs.set("unit", e.unit);
-        targs.set("kind", e.kind);
-        targs.set("attempt", e.attempt);
-        targs.set("pid", static_cast<std::int64_t>(e.pid));
-        targs.set("outcome", e.outcome);
-        trace.complete_on(attempt_tid(e.unit, e.attempt), "attempt",
-                          ra.start_us, obs::now_us() - ra.start_us,
-                          std::move(targs));
-        trace.counter("runner.worker_max_rss_bytes",
-                      static_cast<double>(e.max_rss_bytes));
-        trace.counter("runner.worker_cpu_s", e.cpu_user_s + e.cpu_sys_s);
-      }
-      obs::gauge("runner.worker_max_rss_bytes")
-          .max_of(static_cast<double>(e.max_rss_bytes));
-      if (e.outcome == "ok") {
-        util::log::debug("runner", "worker attempt ok",
-                         {{"unit", e.unit},
-                          {"attempt", e.attempt},
-                          {"wall_s", e.wall_s}});
-      } else if (e.outcome != "speculative_loss" && e.outcome != "aborted") {
-        util::log::warn("runner", "worker attempt failed",
-                        {{"unit", e.unit},
-                         {"attempt", e.attempt},
-                         {"outcome", e.outcome},
-                         {"detail", e.detail}});
-      }
+      const RunningAttempt ra = running[i];
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+      settle(ra, std::move(*res), "");
     }
 
     if (!error.empty()) {
@@ -1414,22 +1113,16 @@ api::RunReport execute(const api::RunPlan& plan, Options opt) {
       const unsigned unit_id = pending[i].unit;
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
       if (!dispatch(unit_id)) {
-        if (!any_spawned) {
-          // fork is unavailable before anything ran: degrade to the
-          // in-process serial path rather than failing the plan.
-          api::RunReport report = api::run(plan);
-          api::WorkerEvent ev;
-          ev.kind = "run";
-          ev.outcome = "degraded";
-          report.worker_events = std::move(events);
-          report.worker_events.push_back(ev);
-          for (const std::string& path : cleanup) ::unlink(path.c_str());
-          return report;
-        }
-        RunningAttempt ra;
-        ra.unit = unit_id;
-        ra.attempt = states[unit_id].next_attempt - 1;
-        on_failure(ra, "could not be spawned");
+        // fork is unavailable before anything ran: degrade to the
+        // in-process serial path rather than failing the plan.
+        api::RunReport report = api::run(plan);
+        api::WorkerEvent ev;
+        ev.kind = "run";
+        ev.outcome = "degraded";
+        report.worker_events = std::move(events);
+        report.worker_events.push_back(ev);
+        for (const std::string& path : cleanup) ::unlink(path.c_str());
+        return report;
       }
     }
 
@@ -1571,23 +1264,7 @@ Value comparable(const Value& report_json) {
     } else if (key == "analyses") {
       out.set(key, strip_timing(value, {"wall_s"}));
     } else if (key == "plan") {
-      Value p = Value::object();
-      for (const auto& [pkey, pvalue] : value.members()) {
-        if (pkey != "options") {
-          p.set(pkey, pvalue);
-          continue;
-        }
-        Value o = Value::object();
-        for (const auto& [okey, ovalue] : pvalue.members()) {
-          if (okey == "workers" || okey == "shard_timeout" ||
-              okey == "max_retries" || okey == "fault") {
-            continue;
-          }
-          o.set(okey, ovalue);
-        }
-        p.set("options", std::move(o));
-      }
-      out.set(key, std::move(p));
+      out.set(key, without_distribution(value));
     } else {
       out.set(key, value);
     }

@@ -1,37 +1,46 @@
 // Fault-tolerant multi-process RunPlan execution.
 //
 // The paper's trillion-edge regime assumes a fleet where individual
-// workers stall or die; this module is the single-machine half of that
-// story (and the ROADMAP's stated on-ramp to a remote transport): a
-// RunPlan is decomposed into per-shard child plans — one "base" unit for
-// everything that is not a validate analysis, plus U shard-subset
-// validate units riding the deterministic `validate::` shard plan — and
-// executed by fork/exec'd worker processes (`kronotri __worker`), each
-// writing its RunReport fragment to a private tmp file. The coordinator
-// merges fragments into one report BIT-IDENTICAL (modulo timings,
-// metadata and the worker_events trail) to the single-process run:
-// shard ownership makes fragment counters disjoint, so the merge is a
-// pure fold.
+// workers stall or die. A RunPlan is decomposed into per-shard child
+// plans — one "base" unit for everything that is not a validate
+// analysis, plus U shard-subset validate units riding the deterministic
+// `validate::` shard plan — and executed by fork/exec'd worker processes
+// (`kronotri __worker`), children of this coordinator or of remote
+// agents, each writing its RunReport fragment to a private tmp file. The
+// coordinator merges fragments into one report BIT-IDENTICAL (modulo
+// timings, metadata and the worker_events trail) to the single-process
+// run: shard ownership makes fragment counters disjoint, so the merge is
+// a pure fold.
 //
 // Robustness core:
 //   * retry with exponential backoff (util::Backoff) under a bounded
 //     attempt budget; exhausting it fails the run with a structured
 //     error report, never a hang;
-//   * per-attempt wall-clock timeouts: a worker past its deadline is
-//     SIGKILLed and its unit re-dispatched;
+//   * per-attempt wall-clock timeouts: an attempt past its deadline is
+//     stopped (SIGKILL locally, `cancel` on an agent) and its unit
+//     re-dispatched;
 //   * speculative re-execution of stragglers — when the queue is drained
 //     and a slot is free, the slowest running unit is re-issued and the
 //     first result wins (safe: units are deterministic);
-//   * crash-safe accounting via waitpid status — signal vs nonzero-exit
-//     vs timeout vs truncated frame vs oom (the RLIMIT_AS guard) are
-//     distinguished in the report's worker_events array;
+//   * crash-safe accounting: every attempt, local or remote, is launched,
+//     reaped and classified by the shared worker module
+//     (runner/worker.hpp) and settled by ONE precedence rule
+//     (settle_outcome) — signal vs nonzero-exit vs timeout vs truncated
+//     frame vs oom (the RLIMIT_AS guard) vs lost agent are distinguished
+//     in the report's worker_events array, identically for both targets;
 //   * graceful degradation to in-process execution when the worker
 //     binary cannot be found/spawned or workers <= 1.
+//
+// A dispatch target is a local fork/exec slot or a slot of a remote
+// `kronotri agent` (net/agent.hpp). The two differ in exactly three
+// places — how an attempt is launched, how it is stopped, and where its
+// AttemptResult comes from (wait4 here, a `result` frame there) —
+// so execute() branches on the target in those three places only.
 //
 // Durability (--journal DIR / --resume): the coordinator write-ahead-logs
 // every unit transition (dispatch, done, failure) as CRC64 frames in
 // DIR/run.journal and persists each verified fragment as a checksummed
-// frame file DIR/unit<u>.frag (rename-into-journal, fsynced). A resume
+// frame file DIR/unit<u>.frag (atomic write + rename, fsynced). A resume
 // verifies the journaled plan identity hash, reloads only fragments whose
 // CRC and journaled digest both verify — corrupt or truncated ones are
 // re-executed, never trusted — and re-dispatches the rest through the
@@ -48,6 +57,7 @@
 #include <vector>
 
 #include "api/plan.hpp"
+#include "runner/worker.hpp"
 #include "util/backoff.hpp"
 #include "util/json.hpp"
 
@@ -105,11 +115,6 @@ struct Options {
   double heartbeat_timeout_s = 5.0;
 };
 
-/// Exit code a worker dies with when its RLIMIT_AS guard (or the `oom`
-/// fault) trips std::bad_alloc — the coordinator classifies it "oom".
-/// Distinct from 127 (exec failure) and ordinary analysis exit codes.
-inline constexpr int kOomExitCode = 86;
-
 /// Options derived from the plan's RunOptions (workers, shard_timeout,
 /// max_retries, fault) with runner defaults for the rest. The durability
 /// and guard knobs (journal_dir, resume, worker_mem_limit_bytes) are
@@ -118,15 +123,9 @@ Options options_from(const api::RunPlan& plan);
 
 /// Identity hash a journal pins its plan to: canonical-JSON hash of the
 /// plan with the distribution options (workers, shard_timeout,
-/// max_retries, fault — the same set comparable() strips) removed. A
+/// max_retries, fault — the one list comparable() strips too) removed. A
 /// resume may change HOW the plan is distributed, never WHAT it computes.
 std::uint64_t plan_identity_hash(const api::RunPlan& plan);
-
-/// The kronotri CLI binary to exec workers from: $KRONOTRI_BIN when set,
-/// else a `kronotri` sibling of /proc/self/exe (the binary itself, or the
-/// build-tree sibling when the caller is a test/bench binary). Empty when
-/// nothing resolves — execute() then degrades to in-process.
-std::string default_worker_exe();
 
 /// Executes the plan across opt.workers forked workers and returns the
 /// merged report. workers <= 1 runs in-process (api::run). Never throws

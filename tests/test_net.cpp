@@ -4,12 +4,14 @@
 // with or without injected partitions (drop_conn), garbled result
 // frames (garble_frame), silent agents (heartbeat timeout) and
 // duplicate result delivery, merges to a report BIT-IDENTICAL under
-// runner::comparable() to the in-process serial run — and the
+// runner::comparable() to the in-process serial run; every worker fault
+// settles to the same outcome on a local slot and on an agent — and the
 // --journal/--resume cycle across an agent death re-executes only the
 // damaged units.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "net/remote.hpp"
 #include "net/socket.hpp"
 #include "runner/runner.hpp"
+#include "runner/worker.hpp"
 #include "util/backoff.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
@@ -322,6 +325,124 @@ TEST(Net, UnreachableAgentsFailStructurally) {
   EXPECT_FALSE(report.pass);
   EXPECT_NE(report.error.find("no reachable agents"), std::string::npos)
       << report.error;
+}
+
+// ---------------------------------------------------------------------------
+// One attempt path: a worker fault settles the same way on either target.
+
+/// Outcome and detail of the first attempt of `unit`.
+std::pair<std::string, int> first_attempt(const api::RunReport& report,
+                                          unsigned unit) {
+  for (const api::WorkerEvent& e : report.worker_events) {
+    if (e.unit == unit && e.attempt == 0) return {e.outcome, e.detail};
+  }
+  return {"<none>", 0};
+}
+
+TEST(Net, WorkerFaultsSettleAlikeLocallyAndOnAnAgent) {
+  const api::RunPlan plan = test_plan();
+  const std::string serial = comparable_dump(api::run(plan));
+  struct Case {
+    const char* fault;
+    double shard_timeout_s;
+    std::pair<std::string, int> expect;  // unit 1, attempt 0
+  };
+  const Case cases[] = {
+      {"kill:shard=1:attempt=0", 0, {"signal", SIGKILL}},
+      {"exit:shard=1:attempt=0:code=3", 0, {"exit", 3}},
+      {"truncate:shard=1:attempt=0", 0, {"truncated", 0}},
+      {"oom:shard=1:attempt=0", 0, {"oom", runner::kOomExitCode}},
+      {"stall:shard=1:attempt=0:secs=30", 2.0, {"timeout", SIGKILL}},
+  };
+  net::Agent agent{net::AgentOptions{}};
+  std::string err;
+  ASSERT_TRUE(agent.start(&err)) << err;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.fault);
+    runner::Options local = remote_opts({});
+    local.workers = 2;
+    runner::Options remote = remote_opts({agent.endpoint()});
+    for (runner::Options* opt : {&local, &remote}) {
+      opt->fault_spec = c.fault;
+      opt->shard_timeout_s = c.shard_timeout_s;
+    }
+    const api::RunReport lr = runner::execute(plan, local);
+    const api::RunReport rr = runner::execute(plan, remote);
+    EXPECT_TRUE(lr.pass) << lr.error;
+    EXPECT_TRUE(rr.pass) << rr.error;
+    EXPECT_EQ(first_attempt(lr, 1), c.expect);
+    EXPECT_EQ(first_attempt(rr, 1), c.expect);
+    EXPECT_EQ(serial, comparable_dump(lr));
+    EXPECT_EQ(comparable_dump(lr), comparable_dump(rr));
+  }
+  agent.stop();
+}
+
+TEST(Net, SettleOutcomePrecedence) {
+  struct Row {
+    bool aborted, lost, timed_out;
+    const char* reported;
+    const char* expect;
+  };
+  const Row rows[] = {
+      {true, true, true, "ok", "aborted"},
+      {true, false, false, "signal", "aborted"},
+      {false, true, true, "ok", "speculative_loss"},
+      {false, true, false, "exit", "speculative_loss"},
+      // A timed-out attempt that still returned a verified fragment is a
+      // result, local or remote.
+      {false, false, true, "ok", "ok"},
+      {false, false, false, "ok", "ok"},
+      {false, false, true, "signal", "timeout"},
+      {false, false, true, "cancelled", "timeout"},
+      {false, false, true, "disconnect", "timeout"},
+      {false, false, false, "cancelled", "speculative_loss"},
+      {false, false, false, "signal", "signal"},
+      {false, false, false, "oom", "oom"},
+      {false, false, false, "exit", "exit"},
+      {false, false, false, "spawn_failed", "spawn_failed"},
+      {false, false, false, "truncated", "truncated"},
+      {false, false, false, "disconnect", "disconnect"},
+      {false, false, false, "garbled", "garbled"},
+      {false, false, false, "from_a_newer_agent", "truncated"},
+  };
+  for (const Row& r : rows) {
+    const std::string got =
+        runner::settle_outcome({r.aborted, r.lost, r.timed_out}, r.reported);
+    EXPECT_EQ(got, r.expect)
+        << "aborted=" << r.aborted << " lost=" << r.lost
+        << " timed_out=" << r.timed_out << " reported=" << r.reported;
+    // Exactly the charged outcomes carry a retry reason.
+    const bool charged = got != "ok" && got != "aborted" &&
+                         got != "speculative_loss";
+    EXPECT_EQ(!runner::failure_reason(got, 9).empty(), charged) << got;
+  }
+  EXPECT_EQ(runner::failure_reason("signal", 9), "died on signal 9");
+}
+
+TEST(Net, AttemptResultWireRoundTrip) {
+  runner::AttemptResult r;
+  r.outcome = "ok";
+  r.pid = 4242;
+  r.max_rss_bytes = 1 << 20;
+  r.cpu_user_s = 0.5;
+  r.cpu_sys_s = 0.25;
+  r.fragment = "{\"pass\":true}";
+  r.trace = "{\"traceEvents\":[]}";
+  const runner::AttemptResult back =
+      runner::AttemptResult::from_json(Value::parse(r.to_json().dump_string(0)));
+  EXPECT_EQ(back.outcome, "ok");
+  EXPECT_EQ(back.pid, 4242);
+  EXPECT_EQ(back.max_rss_bytes, r.max_rss_bytes);
+  EXPECT_DOUBLE_EQ(back.cpu_user_s, 0.5);
+  EXPECT_DOUBLE_EQ(back.cpu_sys_s, 0.25);
+  EXPECT_EQ(back.fragment, r.fragment);
+  EXPECT_EQ(back.trace, r.trace);
+
+  // An "ok" that lost its fragment on the way is no result.
+  Value bare = Value::object();
+  bare.set("outcome", "ok");
+  EXPECT_EQ(runner::AttemptResult::from_json(bare).outcome, "truncated");
 }
 
 // ---------------------------------------------------------------------------
