@@ -188,7 +188,7 @@ void usage(std::ostream& out) {
          "            [--cache-bytes B[K|M|G]] [--mem-budget B[K|M|G]]\n"
          "            [--idle-timeout SECONDS] [--state DIR] [--trace FILE]\n"
          "            run as a long-lived analysis daemon on a unix socket\n"
-         "            (newline-delimited JSON protocol): bounded job queue\n"
+         "            (CRC-64 framed JSON, as agents): bounded job queue\n"
          "            over a worker pool, admission control (full queue and\n"
          "            over-budget plans are rejected with a reason, never\n"
          "            queued), and a deterministic LRU result cache that\n"

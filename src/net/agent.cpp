@@ -7,10 +7,11 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -93,7 +94,11 @@ bool Agent::start(std::string* error) {
     }
     return false;
   }
-  ListenResult lr = listen_tcp(opt_.host, opt_.port);
+  Endpoint ep;
+  ep.host = opt_.host;
+  ep.port = opt_.port;
+  const ListenResult lr = daemon_.start(
+      ep, [this](int fd, std::atomic<bool>&) { connection_loop(fd); });
   if (!lr.ok()) {
     if (error != nullptr) {
       *error = "agent: cannot listen on " + opt_.host + ":" +
@@ -101,10 +106,8 @@ bool Agent::start(std::string* error) {
     }
     return false;
   }
-  listen_fd_ = lr.fd;
   port_ = lr.port;
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { accept_loop(); });
   util::log::info("agent", "listening",
                   {{"endpoint", endpoint()},
                    {"slots", opt_.slots}});
@@ -115,33 +118,8 @@ void Agent::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
     return;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> conns;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    conns.swap(conns_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void Agent::accept_loop() {
-  while (running()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (!running()) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    const std::lock_guard<std::mutex> lock(mu_);
-    conns_.emplace_back([this, fd] { connection_loop(fd); });
-  }
+  daemon_.stop_accepting();
+  daemon_.close_connections();
 }
 
 void Agent::connection_loop(int fd) {
@@ -247,16 +225,15 @@ void Agent::connection_loop(int fd) {
 
   std::string payload;
   bool open = true;
-  while (open && running()) {
+  // Runs until the coordinator hangs up or stop() shuts the fd down.
+  while (open) {
     pollfd pfd{fd, POLLIN, 0};
     const int timeout_ms =
         std::max(1, static_cast<int>(opt_.poll_interval_s * 1000));
     const int ready = ::poll(&pfd, 1, timeout_ms);
     if (ready > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      std::string chunk;
-      const IoStatus st = read_some(fd, chunk);
+      const IoStatus st = reader.read_from(fd);
       if (st == IoStatus::kEof || st == IoStatus::kError) break;
-      if (st == IoStatus::kData) reader.feed(chunk);
       while (open) {
         const FrameReader::Status fs = reader.next(payload);
         if (fs == FrameReader::Status::kNeedMore) break;
@@ -351,7 +328,6 @@ void Agent::connection_loop(int fd) {
     }
   }
   kill_children();
-  ::close(fd);
 }
 
 }  // namespace kronotri::net

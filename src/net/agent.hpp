@@ -22,6 +22,10 @@
 //   * agent death → the coordinator's heartbeat timeout / EOF turns
 //     in-flight attempts into "disconnect" events, re-dispatched like a
 //     SIGKILLed local child.
+//
+// Listener, acceptor, connection threads and stop are net::Daemon's
+// (net/daemon.hpp), shared with `kronotri serve`.
+//
 // Fault injection: a `drop_conn` action matching a dispatched
 // (unit, attempt) makes the agent hard-close the connection (children
 // killed first); `garble_frame` flips a byte inside that attempt's
@@ -31,11 +35,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
+
+#include "net/daemon.hpp"
 
 namespace kronotri::net {
 
@@ -79,18 +82,14 @@ class Agent {
   [[nodiscard]] unsigned slots() const noexcept { return opt_.slots; }
 
  private:
-  void accept_loop();
   void connection_loop(int fd);
 
   AgentOptions opt_;
   std::string exe_;
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<unsigned> busy_{0};  ///< children across all connections
-  std::thread acceptor_;
-  std::mutex mu_;  ///< guards conns_
-  std::vector<std::thread> conns_;
+  Daemon daemon_;  ///< last: its threads use every member above
 };
 
 }  // namespace kronotri::net

@@ -41,6 +41,10 @@ std::string encode_message(const util::json::Value& msg) {
   return journal::encode_frame(msg.dump_string(0));
 }
 
+std::string encode_message(std::string_view json_text) {
+  return journal::encode_frame(json_text);
+}
+
 std::optional<std::string> read_frame_file(const std::string& path) {
   const std::optional<std::string> bytes = journal::read_file(path);
   if (!bytes) return std::nullopt;

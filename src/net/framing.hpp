@@ -1,11 +1,11 @@
-// Wire framing of the agent transport: util::journal CRC-64 frames
+// Wire framing of every kronotri socket: util::journal CRC-64 frames
 // ("KTJ1" | u64 LE length | payload | u64 LE crc64) carried over a
 // stream socket, payloads being one JSON object each. The SAME frame
 // format the runner journals to disk — a fragment that crossed the
 // network verifies with the identical checksum discipline a fragment
 // read from a crashed coordinator's journal does.
 //
-// Protocol (all messages carry "type"):
+// Agent protocol (all messages carry "type"):
 //   coordinator → agent
 //     {"type":"hello","proto":1}
 //     {"type":"dispatch","unit":U,"attempt":A,"plan":"<RunPlan JSON>",
@@ -21,16 +21,30 @@
 //      "fragment":"<RunReport JSON>",               ok only
 //      "trace":"<trace doc JSON>"}                  when tracing was asked
 //
+// Service protocol (`kronotri serve` / `submit`; error codes and
+// ordering in service/protocol.hpp):
+//   client → server
+//     {"type":"submit","plan":{…RunPlan JSON…} or "<plan text>"}
+//     {"type":"stats"}                              metrics snapshot
+//     {"type":"ping"}                               liveness probe
+//   server → client, one response frame per request
+//     {"ok":true,"cache":"hit|miss|bypass","plan_hash":"…",
+//      "queue_wait_s":…,"execute_s":…,"report":{…RunReport JSON…}}
+//     {"ok":true,"stats":{…}}   /   {"ok":true,"pong":true}
+//     {"ok":false,"error":{"code":"…","message":"…"}}
+//
 // A frame that fails its CRC poisons the stream (no resync marker): the
-// reader reports kCorrupt, the coordinator drops the connection,
+// reader reports kCorrupt and the connection is dropped. The coordinator
 // classifies in-flight attempts "garbled" and re-dispatches — exactly
-// the torn-journal recovery story, applied to a socket.
+// the torn-journal recovery story, applied to a socket; the service
+// answers one bad_request frame first, then hangs up.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "net/socket.hpp"
 #include "util/json.hpp"
 
 namespace kronotri::net {
@@ -48,8 +62,9 @@ class FrameReader {
   };
 
   void feed(std::string_view bytes) { buf_.append(bytes); }
+  /// One read_some() from `fd` straight into the buffer.
+  IoStatus read_from(int fd) { return read_some(fd, buf_); }
   Status next(std::string& payload);
-  [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
   void reset() { buf_.clear(); }
 
  private:
@@ -59,6 +74,9 @@ class FrameReader {
 /// `msg` dumped at indent 0 inside one encoded frame — the unit of
 /// transmission for every protocol message.
 [[nodiscard]] std::string encode_message(const util::json::Value& msg);
+/// One frame around an already-serialized JSON document — for messages
+/// that splice stored bytes in verbatim (the service's cached reports).
+[[nodiscard]] std::string encode_message(std::string_view json_text);
 
 /// Reads a single-frame fragment file — a worker's output or a journaled
 /// unit<u>.frag — and returns the payload: exactly one clean frame,

@@ -55,12 +55,8 @@ AgentClient::Pump AgentClient::pump(std::vector<Value>& out) {
   if (fd_ < 0) return Pump::kClosed;
   bool closed = false;
   while (true) {
-    std::string chunk;
-    const IoStatus st = read_some(fd_, chunk);
-    if (st == IoStatus::kData) {
-      reader_.feed(chunk);
-      continue;
-    }
+    const IoStatus st = reader_.read_from(fd_);
+    if (st == IoStatus::kData) continue;
     if (st == IoStatus::kAgain) break;
     closed = true;  // kEof or kError
     break;

@@ -73,15 +73,23 @@ std::string connect_bounded(int fd, const sockaddr* addr, socklen_t addrlen,
   return {};
 }
 
+/// `path` as a unix-domain address for dial and listen alike; an error
+/// message when it is empty or would be truncated to fit sun_path.
+std::string unix_address(const std::string& path, sockaddr_un& addr) {
+  if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
+    return "bad socket path \"" + path + "\"";
+  }
+  addr = sockaddr_un{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return {};
+}
+
 DialResult dial_unix(const Endpoint& ep, double timeout_s) {
   DialResult r;
-  if (ep.path.empty() || ep.path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    r.error = "bad socket path \"" + ep.path + "\"";
-    return r;
-  }
   sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, ep.path.c_str(), sizeof(addr.sun_path) - 1);
+  r.error = unix_address(ep.path, addr);
+  if (!r.error.empty()) return r;
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     r.error = errno_text("socket");
@@ -238,22 +246,35 @@ bool set_nonblocking(int fd, bool on) noexcept {
   return ::fcntl(fd, F_SETFL, want) >= 0;
 }
 
-ListenResult listen_tcp(const std::string& host, std::uint16_t port,
-                        int backlog) {
+ListenResult listen(const Endpoint& ep, int backlog) {
   ListenResult r;
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
+  // Candidate addresses: the one unix path, or every address the TCP host
+  // resolves to; the first that binds wins.
+  sockaddr_un un{};
+  addrinfo unix_ai{};
   addrinfo* res = nullptr;
-  const std::string service = std::to_string(port);
-  const int gai = ::getaddrinfo(host.empty() ? nullptr : host.c_str(),
-                                service.c_str(), &hints, &res);
-  if (gai != 0) {
-    r.error = "resolve " + host + ": " + ::gai_strerror(gai);
-    return r;
+  if (ep.kind == Endpoint::Kind::kUnix) {
+    r.error = unix_address(ep.path, un);
+    if (!r.error.empty()) return r;
+    unix_ai.ai_family = AF_UNIX;
+    unix_ai.ai_socktype = SOCK_STREAM;
+    unix_ai.ai_addr = reinterpret_cast<sockaddr*>(&un);
+    unix_ai.ai_addrlen = sizeof(un);
+  } else {
+    addrinfo hints{};
+    hints.ai_family = AF_UNSPEC;
+    hints.ai_socktype = SOCK_STREAM;
+    hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
+    const std::string service = std::to_string(ep.port);
+    const int gai = ::getaddrinfo(ep.host.empty() ? nullptr : ep.host.c_str(),
+                                  service.c_str(), &hints, &res);
+    if (gai != 0) {
+      r.error = "resolve " + ep.host + ": " + ::gai_strerror(gai);
+      return r;
+    }
   }
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
+  for (addrinfo* ai = res != nullptr ? res : &unix_ai; ai != nullptr;
+       ai = ai->ai_next) {
     const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) {
       r.error = errno_text("socket");
@@ -280,7 +301,7 @@ ListenResult listen_tcp(const std::string& host, std::uint16_t port,
     r.error.clear();
     break;
   }
-  ::freeaddrinfo(res);
+  if (res != nullptr) ::freeaddrinfo(res);
   return r;
 }
 

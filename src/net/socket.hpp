@@ -14,9 +14,9 @@
 //   * read_some(): one read() with the EINTR/EAGAIN/EOF cases folded
 //     into an explicit status instead of errno spelunking at every
 //     call site.
-//   * listen_tcp(): bound+listening socket for the agent daemon, with
-//     the ephemeral-port case (port 0) resolved via getsockname so
-//     tests can listen on whatever is free.
+//   * listen(): bound+listening socket for either daemon (net/daemon.hpp)
+//     on either endpoint kind, with the ephemeral TCP port (port 0)
+//     resolved via getsockname so tests can listen on whatever is free.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +85,9 @@ struct ListenResult {
   [[nodiscard]] bool ok() const noexcept { return fd >= 0; }
 };
 
-/// Bound + listening TCP socket on host:port (SO_REUSEADDR; port 0 picks
-/// an ephemeral port, reported back). Never throws.
-[[nodiscard]] ListenResult listen_tcp(const std::string& host,
-                                      std::uint16_t port, int backlog = 16);
+/// Bound + listening socket on `ep`. TCP: SO_REUSEADDR, port 0 picks an
+/// ephemeral port, reported back. Unix: the path must be free — removing
+/// a stale socket file is the caller's decision. Never throws.
+[[nodiscard]] ListenResult listen(const Endpoint& ep, int backlog = 128);
 
 }  // namespace kronotri::net

@@ -6,51 +6,29 @@
 #include <cstring>
 #include <stdexcept>
 
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "net/socket.hpp"
-#include "service/protocol.hpp"
 
 namespace kronotri::service {
 
 Client::~Client() { close(); }
 
-std::string Client::try_connect(const std::string& socket_path) {
-  // The bounded-time dial (non-blocking connect + poll + SO_ERROR) lives
-  // in net::dial — one implementation shared with the agent transport.
+void Client::connect(const std::string& socket_path) {
+  close();
   net::Endpoint ep;
   ep.kind = net::Endpoint::Kind::kUnix;
   ep.path = socket_path;
-  ep.text = socket_path;
-  net::DialResult r = net::dial(ep, opt_.connect_timeout_s);
-  if (!r.ok()) return std::move(r.error);
+  const unsigned attempts = std::max(1u, opt_.connect_attempts);
+  net::DialResult r =
+      net::dial_retry(ep, opt_.connect_timeout_s, attempts, opt_.backoff);
+  if (!r.ok()) {
+    throw std::runtime_error("service::Client: " + socket_path + ": " +
+                             r.error + " (" + std::to_string(attempts) +
+                             " attempt" + (attempts > 1 ? "s" : "") + ")");
+  }
   fd_ = r.fd;
-  return {};
-}
-
-void Client::connect(const std::string& socket_path) {
-  close();
-  if (socket_path.empty() ||
-      socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-    throw std::runtime_error("service::Client: bad socket path \"" +
-                             socket_path + "\"");
-  }
-  const unsigned attempts = opt_.connect_attempts > 0
-                                ? opt_.connect_attempts
-                                : 1;
-  std::string last_error;
-  for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) util::Backoff::sleep_s(opt_.backoff.delay_s(attempt - 1));
-    last_error = try_connect(socket_path);
-    if (last_error.empty()) return;
-  }
-  throw std::runtime_error("service::Client: " + socket_path + ": " +
-                           last_error + " (" + std::to_string(attempts) +
-                           " attempt" + (attempts > 1 ? "s" : "") + ")");
 }
 
 void Client::close() {
@@ -58,12 +36,12 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
+  reader_.reset();
 }
 
 void Client::send(const util::json::Value& request) {
   if (fd_ < 0) throw std::runtime_error("service::Client: not connected");
-  if (!write_all(fd_, frame(request))) {
+  if (!net::write_all(fd_, net::encode_message(request))) {
     throw std::runtime_error("service::Client: connection lost while sending");
   }
 }
@@ -74,12 +52,14 @@ util::json::Value Client::read_response() {
   // trickling bytes forever must still hit it.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(opt_.request_timeout_s);
+  std::string payload;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      const std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return util::json::Value::parse(line);
+    const net::FrameReader::Status fs = reader_.next(payload);
+    if (fs == net::FrameReader::Status::kFrame) {
+      return util::json::Value::parse(payload);
+    }
+    if (fs == net::FrameReader::Status::kCorrupt) {
+      throw std::runtime_error("service::Client: corrupt response frame");
     }
     if (opt_.request_timeout_s > 0) {
       const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -99,18 +79,15 @@ util::json::Value Client::read_response() {
                                  std::strerror(errno));
       }
     }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("service::Client: read: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) {
+    const net::IoStatus io = reader_.read_from(fd_);
+    if (io == net::IoStatus::kEof) {
       throw std::runtime_error(
           "service::Client: server closed the connection before responding");
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    if (io != net::IoStatus::kData) {
+      throw std::runtime_error(std::string("service::Client: read: ") +
+                               std::strerror(errno));
+    }
   }
 }
 

@@ -1,17 +1,19 @@
 // Blocking client for the kronotri analysis service.
 //
-// One unix-socket connection, one request/response at a time — the shape
-// the `kronotri submit` subcommand, the tests and the latency bench all
-// want (the bench gets concurrency by running many Clients on many
-// threads). send()/read_response() are exposed separately so tests can
-// exercise the rude paths: disconnect between send and read, half-written
-// frames, a server draining mid-conversation.
+// One unix-socket connection, one request/response at a time, each message
+// one CRC-64 frame (service/protocol.hpp) — the shape the `kronotri
+// submit` subcommand, the tests and the latency bench all want (the bench
+// gets concurrency by running many Clients on many threads).
+// send()/read_response() are exposed separately so tests can exercise the
+// rude paths: disconnect between send and read, half-written frames, a
+// server draining mid-conversation.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 #include "api/plan.hpp"
+#include "net/framing.hpp"
 #include "util/backoff.hpp"
 #include "util/json.hpp"
 
@@ -66,13 +68,9 @@ class Client {
   [[nodiscard]] util::json::Value stats();
 
  private:
-  /// One connect attempt under opt_.connect_timeout_s; returns an error
-  /// message on failure (empty on success).
-  [[nodiscard]] std::string try_connect(const std::string& socket_path);
-
   ClientOptions opt_;
   int fd_ = -1;
-  std::string buffer_;  ///< LineReader state folded in (single-frame reads)
+  net::FrameReader reader_;
 };
 
 }  // namespace kronotri::service

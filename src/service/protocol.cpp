@@ -1,57 +1,11 @@
 #include "service/protocol.hpp"
 
-#include "net/socket.hpp"
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <stdexcept>
 
-#include <sys/socket.h>
-#include <unistd.h>
+#include "net/framing.hpp"
+#include "util/json.hpp"
 
 namespace kronotri::service {
-
-bool LineReader::next_line(std::string& line) {
-  while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      line.assign(buffer_, 0, nl);
-      buffer_.erase(0, nl + 1);
-      return true;
-    }
-    if (eof_) {
-      if (buffer_.empty()) return false;
-      line = std::move(buffer_);
-      buffer_.clear();
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("service: read failed: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) {
-      eof_ = true;
-      continue;
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-bool write_all(int fd, std::string_view data) noexcept {
-  // One full-buffer send loop for the whole codebase (MSG_NOSIGNAL,
-  // EINTR retried, EAGAIN awaited) — shared with the agent transport.
-  return net::write_all(fd, data);
-}
-
-std::string frame(const util::json::Value& payload) {
-  std::string out = payload.dump_string(0);
-  out.push_back('\n');
-  return out;
-}
 
 std::string error_frame(std::string_view code, std::string_view message) {
   using util::json::Value;
@@ -61,7 +15,7 @@ std::string error_frame(std::string_view code, std::string_view message) {
   Value v = Value::object();
   v.set("ok", false);
   v.set("error", std::move(err));
-  return frame(v);
+  return net::encode_message(v);
 }
 
 std::string report_frame(std::string_view cache_disposition,
@@ -82,12 +36,12 @@ std::string report_frame(std::string_view cache_disposition,
   head.set("queue_wait_s", queue_wait_s);
   head.set("execute_s", execute_s);
   std::string out = head.dump_string(0);
-  // "{…}" → "{…,\"report\":<splice>}\n"
+  // "{…}" → "{…,\"report\":<splice>}"
   out.pop_back();
   out += ",\"report\":";
   out += report_json;
-  out += "}\n";
-  return out;
+  out += "}";
+  return net::encode_message(std::string_view(out));
 }
 
 }  // namespace kronotri::service

@@ -1,20 +1,17 @@
 // Wire protocol of the kronotri analysis service.
 //
-// Newline-delimited JSON over a unix-domain stream socket: every request
-// and every response is exactly one JSON object on one line (the framing
-// layer guarantees no interior '\n' — documents are dumped with indent 0).
-// Requests:
-//   {"type":"submit","plan":{…RunPlan JSON…}}   execute (or serve cached)
-//   {"type":"stats"}                            metrics snapshot
-//   {"type":"ping"}                             liveness probe
-// Responses always carry "ok":
-//   {"ok":true,"cache":"hit"|"miss"|"bypass","plan_hash":"…",
-//    "queue_wait_s":…,"execute_s":…,"report":{…RunReport JSON…}}
-//   {"ok":true,"stats":{…}}   /   {"ok":true,"pong":true}
-//   {"ok":false,"error":{"code":"…","message":"…"}}
+// The service speaks the agents' wire format over a unix-domain stream
+// socket: every request and every response is one JSON object in one
+// CRC-64 frame, sent with net::encode_message and read with
+// net::FrameReader. net/framing.hpp lists the request and response
+// messages next to the agent ones.
+//
 // Error codes: bad_request, queue_full, over_budget, draining,
 // execution_failed. Responses on one connection come back in request
-// order (the connection is handled serially server-side).
+// order (the connection is handled serially server-side). Bytes that are
+// not a frame get one bad_request response, then the server hangs up: a
+// corrupt stream cannot resync. A valid frame whose payload is not a JSON
+// object gets bad_request and the connection keeps serving.
 //
 // The cached-report splice: a hit response embeds the report EXACTLY as the
 // bytes serialized when the job first executed (string splice, no
@@ -22,43 +19,18 @@
 // CI can assert with a diff, not a semantic one.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "util/json.hpp"
-
 namespace kronotri::service {
-
-/// Buffered reader of '\n'-terminated frames from a socket/pipe fd.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Reads one line (without the terminator) into `line`. False on orderly
-  /// EOF with no buffered partial line; throws std::runtime_error on a
-  /// read error. A final unterminated line before EOF is returned as-is.
-  bool next_line(std::string& line);
-
- private:
-  int fd_;
-  std::string buffer_;
-  bool eof_ = false;
-};
-
-/// Writes all of `data` to fd (send with MSG_NOSIGNAL where available, so a
-/// dead peer raises EPIPE instead of killing the process). Returns false on
-/// any write failure — the caller treats that as a client disconnect.
-[[nodiscard]] bool write_all(int fd, std::string_view data) noexcept;
-
-/// One-line frame: `payload` dumped at indent 0 plus the '\n' terminator.
-[[nodiscard]] std::string frame(const util::json::Value& payload);
 
 /// {"ok":false,"error":{"code":code,"message":message}} as a ready frame.
 [[nodiscard]] std::string error_frame(std::string_view code,
                                       std::string_view message);
 
-/// Successful submit response with `report_json` (an already-serialized,
-/// newline-free RunReport document) spliced in verbatim.
+/// Successful submit response frame with `report_json` (an
+/// already-serialized RunReport document) spliced in verbatim.
 [[nodiscard]] std::string report_frame(std::string_view cache_disposition,
                                        std::uint64_t plan_hash,
                                        double queue_wait_s, double execute_s,

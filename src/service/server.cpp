@@ -1,19 +1,16 @@
 #include "service/server.hpp"
 
-#include <cerrno>
-#include <chrono>
 #include <csignal>
-#include <cstring>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "service/admission.hpp"
@@ -27,10 +24,6 @@ namespace kronotri::service {
 namespace {
 
 namespace journal = util::journal;
-
-[[noreturn]] void socket_error(const std::string& what) {
-  throw std::runtime_error("service: " + what + ": " + std::strerror(errno));
-}
 
 constexpr const char* kStateFile = "state.journal";
 
@@ -85,16 +78,6 @@ void Server::start() {
   // write_all already passes MSG_NOSIGNAL where available; this covers
   // the fallback write() path and keeps the guarantee platform-wide.
   std::signal(SIGPIPE, SIG_IGN);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (opt_.socket_path.empty() ||
-      opt_.socket_path.size() >= sizeof(addr.sun_path)) {
-    throw std::invalid_argument("service: socket path empty or longer than " +
-                                std::to_string(sizeof(addr.sun_path) - 1) +
-                                " bytes: \"" + opt_.socket_path + "\"");
-  }
-  std::strncpy(addr.sun_path, opt_.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
 
   // Something already at the path is either a stale socket file a dead
   // predecessor left behind (reclaim it) or a LIVE server (refuse loudly —
@@ -117,23 +100,24 @@ void Server::start() {
     ::unlink(opt_.socket_path.c_str());
   }
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) socket_error("socket");
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    socket_error("bind " + opt_.socket_path);
-  }
-  if (::listen(listen_fd_, 128) < 0) socket_error("listen");
-
   touch_activity();
-  // Replay before the workers spawn: re-enqueued jobs sit in the queue and
-  // are the first thing the pool drains.
+  // Replay before the workers spawn and before the socket opens:
+  // re-enqueued jobs sit in the queue and are the first thing the pool
+  // drains.
   if (!opt_.state_dir.empty()) replay_state();
   workers_.reserve(opt_.workers);
   for (unsigned i = 0; i < opt_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  const net::ListenResult lr = daemon_.start(
+      net::parse_endpoint("unix:" + opt_.socket_path),
+      [this](int fd, std::atomic<bool>& busy) { serve_connection(fd, busy); });
+  // On failure running_ stays set, so stop() (the destructor) joins the
+  // workers started above.
+  if (!lr.ok()) {
+    throw std::runtime_error("service: cannot listen on " + opt_.socket_path +
+                             ": " + lr.error);
+  }
   util::log::info("service", "listening",
                   {{"socket", opt_.socket_path}, {"workers", opt_.workers}});
 }
@@ -141,53 +125,19 @@ void Server::start() {
 void Server::stop() {
   if (!running_.exchange(false)) return;
   draining_ = true;
+  daemon_.stop_accepting();
 
-  // 1. Stop accepting: shutdown wakes a blocked accept(); close after join.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
-  // 2. Drain: no new pushes succeed, workers pop the backlog dry and
-  // fulfil every promise, so no connection thread can be stuck on a
-  // future.
+  // Drain: no new pushes succeed, workers pop the backlog dry and fulfil
+  // every promise, so no connection thread can be stuck on a future.
   queue_->close();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
 
-  // 3. Connections: every promise is fulfilled, but a connection thread
-  // may still be between waking on its future and writing the frame — a
-  // `busy` connection must not be shut down yet or its delivered-but-
-  // unwritten response would be lost. Idle ones (blocked in read()) are
-  // woken by shutdown; busy ones finish their write, notice draining_, and
-  // exit on their own. fds are closed only after the owning thread joins.
-  while (true) {
-    bool pending = false;
-    {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      for (const auto& conn : connections_) {
-        if (conn->done.load()) continue;
-        pending = true;
-        if (!conn->busy.load()) ::shutdown(conn->fd, SHUT_RDWR);
-      }
-    }
-    if (!pending) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Joining outside the lock: connection threads never touch the vector,
-  // but keeping lock scope minimal is cheap insurance.
-  for (const auto& conn : connections_) {
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.clear();
-  }
+  // Every owed response is now produced; the Daemon lets busy connections
+  // finish writing theirs before it joins and closes.
+  daemon_.close_connections();
 
   ::unlink(opt_.socket_path.c_str());
   state_wal_.close();
@@ -261,74 +211,53 @@ void Server::replay_state() {
   touch_activity();
 }
 
-void Server::accept_loop() {
+void Server::serve_connection(int fd, std::atomic<bool>& busy) {
+  metrics_.connections_opened.fetch_add(1);
+  touch_activity();
+  net::FrameReader reader;
+  std::string payload;
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down — server stopping
+    const net::FrameReader::Status fs = reader.next(payload);
+    if (fs == net::FrameReader::Status::kNeedMore) {
+      const net::IoStatus io = reader.read_from(fd);
+      if (io == net::IoStatus::kData) continue;
+      // EOF ends the conversation; a read error (reset mid-stream) is a
+      // disconnect.
+      if (io != net::IoStatus::kEof) metrics_.client_disconnects.fetch_add(1);
+      return;
     }
-    metrics_.connections_opened.fetch_add(1);
+    // Busy from reading a request to finishing its response write: the
+    // drain must not shut the fd down in that window — the worker join
+    // only guarantees the promise is FULFILLED, not that this thread has
+    // woken and written the frame yet.
+    busy.store(true);
+    const bool corrupt = fs == net::FrameReader::Status::kCorrupt;
+    if (corrupt) metrics_.rejected_bad_request.fetch_add(1);
+    const std::string response =
+        corrupt ? error_frame("bad_request", "not a CRC-64 frame; closing")
+                : handle_request(payload);
+    const bool delivered = net::write_all(fd, response);
+    busy.store(false);
+    if (!delivered) {
+      // Peer vanished between submit and response: the job (if any)
+      // already completed and is cached — only this connection dies.
+      metrics_.client_disconnects.fetch_add(1);
+      return;
+    }
+    // A corrupt stream cannot resync: there is no frame boundary to find.
+    if (corrupt) return;
     touch_activity();
-
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Reap finished connections so a long-lived server does not accumulate
-    // one zombie entry per past client.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->done.load()) {
-        if ((*it)->thread.joinable()) (*it)->thread.join();
-        ::close((*it)->fd);
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* raw = conn.get();
-    conn->thread = std::thread([this, raw] {
-      connection_loop(raw);
-      raw->done.store(true);
-    });
-    connections_.push_back(std::move(conn));
+    // In a drain, responses owed have now been written; exit instead of
+    // blocking in read() so stop() can finish.
+    if (draining_.load()) return;
   }
 }
 
-void Server::connection_loop(Connection* conn) {
-  const int fd = conn->fd;
-  LineReader reader(fd);
-  std::string line;
-  try {
-    while (reader.next_line(line)) {
-      if (line.empty()) continue;
-      conn->busy.store(true);
-      const std::string response = handle_request(line);
-      const bool delivered = write_all(fd, response);
-      conn->busy.store(false);
-      if (!delivered) {
-        // Peer vanished between submit and response: the job (if any)
-        // already completed and is cached — only this connection dies.
-        metrics_.client_disconnects.fetch_add(1);
-        break;
-      }
-      touch_activity();
-      // In a drain, responses owed have now been written; exit instead of
-      // blocking in read() so stop() can finish.
-      if (draining_.load()) break;
-    }
-  } catch (const std::exception&) {
-    // Read error (reset mid-stream): same as a disconnect.
-    conn->busy.store(false);
-    metrics_.client_disconnects.fetch_add(1);
-  }
-  ::shutdown(fd, SHUT_RDWR);  // close happens after join (fd reuse safety)
-}
-
-std::string Server::handle_request(const std::string& line) {
+std::string Server::handle_request(const std::string& payload) {
   using util::json::Value;
   Value request;
   try {
-    request = Value::parse(line);
+    request = Value::parse(payload);
     if (!request.is_object()) {
       throw std::invalid_argument("request must be a JSON object");
     }
@@ -343,13 +272,13 @@ std::string Server::handle_request(const std::string& line) {
     Value v = Value::object();
     v.set("ok", true);
     v.set("stats", stats_json());
-    return frame(v);
+    return net::encode_message(v);
   }
   if (type == "ping") {
     Value v = Value::object();
     v.set("ok", true);
     v.set("pong", true);
-    return frame(v);
+    return net::encode_message(v);
   }
   metrics_.rejected_bad_request.fetch_add(1);
   return error_frame("bad_request", "unknown request type \"" + type +
@@ -472,9 +401,12 @@ void Server::worker_loop() {
       report.queue_wait_s = wait_s;
       const double execute_s = exec.seconds();
       metrics_.execute_latency.record(execute_s);
-      // indent 0 keeps the document newline-free — the framing invariant.
+      // Cached as serialized here: hits splice these exact bytes.
       std::string report_json = report.to_json().dump_string(0);
       cache_.put(job->key, report_json);
+      // Framed (a CRC pass over the report) before the job counts as done.
+      std::string response = report_frame(
+          "miss", util::json::hash64(job->key), wait_s, execute_s, report_json);
       metrics_.jobs_completed.fetch_add(1);
       if (state_wal_.is_open()) {
         util::json::Value rec = util::json::Value::object();
@@ -482,9 +414,7 @@ void Server::worker_loop() {
         rec.set("key", job->key);
         journal_state(rec);
       }
-      job->result.set_value(report_frame("miss",
-                                         util::json::hash64(job->key), wait_s,
-                                         execute_s, report_json));
+      job->result.set_value(std::move(response));
       obs::counter("service.jobs_completed").add();
     } catch (...) {
       // Exception isolation: the plan failed, the worker survives. The

@@ -1,8 +1,8 @@
 // kronotri as a long-running analysis server.
 //
 // The production story the ROADMAP names: a daemon that accepts RunPlan
-// JSON over a unix-domain socket (newline-delimited JSON protocol, see
-// protocol.hpp), executes plans on a bounded FIFO queue over a worker
+// JSON over a unix-domain socket (CRC-64 frames, the agents' wire format;
+// see protocol.hpp), executes plans on a bounded FIFO queue over a worker
 // pool, and streams back RunReports. The load-bearing properties:
 //
 //   * Admission control happens on the connection thread, BEFORE anything
@@ -29,9 +29,11 @@
 //     predecessor is probed with a ping and reclaimed; a LIVE predecessor
 //     makes start() refuse instead of stealing its clients.
 //
-// Threading: one acceptor thread, one thread per live connection (requests
-// on a connection are served in order; concurrency comes from concurrent
-// connections), `workers` execution threads popping the shared queue.
+// Threading: the shared net::Daemon skeleton (net/daemon.hpp) — one
+// acceptor thread, one thread per live connection (requests on a
+// connection are served in order; concurrency comes from concurrent
+// connections) — plus `workers` execution threads popping the shared
+// queue. stop() drains that queue between the Daemon's two stop steps.
 // Tests drive an in-process Server through service::Client on the same
 // socket path.
 #pragma once
@@ -48,6 +50,7 @@
 #include "api/analysis.hpp"
 #include "api/plan.hpp"
 #include "api/registry.hpp"
+#include "net/daemon.hpp"
 #include "service/cache.hpp"
 #include "service/metrics.hpp"
 #include "service/queue.hpp"
@@ -104,8 +107,6 @@ class Server {
   [[nodiscard]] util::json::Value stats_json() const;
 
  private:
-  struct Connection;
-
   struct Job {
     api::RunPlan plan;
     std::string key;           ///< cache_key() — the result-cache identity
@@ -117,11 +118,11 @@ class Server {
     std::promise<std::string> result;
   };
 
-  void accept_loop();
   void worker_loop();
-  void connection_loop(Connection* conn);
-  /// One request line → one response frame (never throws).
-  [[nodiscard]] std::string handle_request(const std::string& line);
+  /// The Daemon handler: reads request frames, answers each in order.
+  void serve_connection(int fd, std::atomic<bool>& busy);
+  /// One request payload → one response frame (never throws).
+  [[nodiscard]] std::string handle_request(const std::string& payload);
   [[nodiscard]] std::string handle_submit(const util::json::Value& request);
   void touch_activity();
 
@@ -149,22 +150,8 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<double> last_activity_s_{0};
 
-  int listen_fd_ = -1;
-  std::thread acceptor_;
   std::vector<std::thread> workers_;
-
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    /// True from reading a request to finishing its response write. stop()
-    /// must not shut the fd down in that window: the worker join only
-    /// guarantees the promise is FULFILLED, not that the connection thread
-    /// has woken and written the frame yet.
-    std::atomic<bool> busy{false};
-    std::atomic<bool> done{false};
-  };
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  net::Daemon daemon_;  ///< last: its threads use every member above
 };
 
 }  // namespace kronotri::service

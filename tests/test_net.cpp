@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,12 +20,14 @@
 
 #include <dirent.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "api/plan.hpp"
 #include "net/agent.hpp"
+#include "net/daemon.hpp"
 #include "net/framing.hpp"
 #include "net/remote.hpp"
 #include "net/socket.hpp"
@@ -164,13 +167,27 @@ TEST(Net, FrameReaderRejectsGarbledFrame) {
   Value msg = Value::object();
   msg.set("type", "result");
   msg.set("unit", 3);
-  std::string bytes = net::encode_message(msg);
+  const std::string frame = net::encode_message(msg);
+  std::string bytes = frame;
   // Flip one payload byte: length still parses, CRC must catch it.
   bytes[util::journal::kFrameOverhead / 2 + bytes.size() / 2] ^= 0x20;
   net::FrameReader r;
   r.feed(bytes);
   std::string payload;
   EXPECT_EQ(r.next(payload), net::FrameReader::Status::kCorrupt);
+
+  // Every byte of the frame — magic, length, payload, CRC — flipped one
+  // at a time: the reader may wait for more bytes (a grown length) but
+  // must never hand out a payload. The service feeds it bytes from any
+  // local client, so this is its whole defence.
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    std::string flipped = frame;
+    flipped[i] ^= 0x01;
+    net::FrameReader fr;
+    fr.feed(flipped);
+    EXPECT_NE(fr.next(payload), net::FrameReader::Status::kFrame)
+        << "flipped byte " << i << " of " << frame.size();
+  }
 }
 
 TEST(Net, FrameReaderRejectsBadMagic) {
@@ -222,6 +239,79 @@ TEST(Net, AgentHandshakeAdvertisesSlots) {
   EXPECT_EQ(welcome.get_uint("proto", 0),
             static_cast<std::uint64_t>(net::kProtoVersion));
   client.close();
+  agent.stop();
+}
+
+/// Kernel threads of this process right now.
+std::size_t task_count() {
+  std::size_t n = 0;
+  DIR* d = ::opendir("/proc/self/task");
+  if (d == nullptr) return 0;
+  while (const dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(d);
+  return n;
+}
+
+/// Virtual size of this process, from /proc/self/status.
+std::size_t vm_size_bytes() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7)) << 10;
+  }
+  return 0;
+}
+
+TEST(Net, AgentReapsFinishedConnectionThreads) {
+  // A long-lived agent serves one coordinator after another; each
+  // connection's handler thread ends with its peer and is reaped as the
+  // next connection is accepted, not kept until stop().
+  net::Agent agent;
+  std::string err;
+  ASSERT_TRUE(agent.start(&err)) << err;
+  // One coordinator: hello, wait for the answer (so its handler thread
+  // is running), hang up.
+  const auto connect_and_close = [&] {
+    net::AgentClient client;
+    ASSERT_TRUE(client.connect(agent.endpoint(), &err)) << err;
+    std::vector<Value> msgs;
+    for (int spin = 0; spin < 500 && msgs.empty(); ++spin) {
+      ASSERT_EQ(client.pump(msgs), net::AgentClient::Pump::kIdle);
+      if (msgs.empty()) util::Backoff::sleep_s(0.002);
+    }
+    ASSERT_FALSE(msgs.empty()) << "no welcome";
+    client.close();
+  };
+  const std::size_t before = task_count();
+  ASSERT_GT(before, 0u);
+  // True once the last connection's thread has exited (≤ ~1 s).
+  const auto threads_settled = [&] {
+    for (int spin = 0; spin < 100; ++spin) {
+      if (task_count() <= before) return true;
+      util::Backoff::sleep_s(0.01);
+    }
+    return false;
+  };
+  connect_and_close();  // the first handler may set up a malloc arena
+  ASSERT_TRUE(threads_settled());
+  const std::size_t vm_before = vm_size_bytes();
+  for (int i = 0; i < 20; ++i) {
+    connect_and_close();
+    ASSERT_TRUE(threads_settled()) << "connection " << i << " thread alive";
+  }
+  // An exited thread leaves /proc/self/task even when nobody joins it,
+  // but its stack stays mapped until the join. Unreaped, 20 connections
+  // keep 20 stacks; reaped, each new thread reuses the last one's.
+  pthread_attr_t attr;
+  ASSERT_EQ(::pthread_getattr_default_np(&attr), 0);
+  std::size_t stack = 0;
+  ::pthread_attr_getstacksize(&attr, &stack);
+  ::pthread_attr_destroy(&attr);
+  const std::size_t vm_after = vm_size_bytes();
+  EXPECT_LT(vm_after, vm_before + 10 * stack)
+      << "VmSize grew by " << ((vm_after - vm_before) >> 20) << " MiB over "
+      << "20 connections; thread stack " << (stack >> 20) << " MiB";
   agent.stop();
 }
 
@@ -463,23 +553,20 @@ class FakeAgent {
   ~FakeAgent() { stop(); }
 
   bool start(std::string* error) {
-    net::ListenResult lr = net::listen_tcp("127.0.0.1", 0);
+    const net::ListenResult lr = daemon_.start(
+        net::parse_endpoint("127.0.0.1:0"),
+        [this](int fd, std::atomic<bool>&) { serve(fd); });
     if (!lr.ok()) {
       *error = lr.error;
       return false;
     }
-    fd_ = lr.fd;
     port_ = lr.port;
-    running_.store(true);
-    thread_ = std::thread([this] { accept_loop(); });
     return true;
   }
 
   void stop() {
-    if (!running_.exchange(false)) return;
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    if (thread_.joinable()) thread_.join();
+    daemon_.stop_accepting();
+    daemon_.close_connections();
   }
 
   [[nodiscard]] std::string endpoint() const {
@@ -487,32 +574,19 @@ class FakeAgent {
   }
 
  private:
-  void accept_loop() {
-    while (running_.load()) {
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 100) <= 0) continue;
-      const int conn = ::accept(fd_, nullptr, nullptr);
-      if (conn < 0) continue;
-      serve(conn);
-      ::close(conn);
-    }
-  }
-
+  // Runs until the coordinator hangs up or stop() shuts the fd down.
   void serve(int conn) {
-    const bool silent = silent_left_ > 0;
-    if (silent) --silent_left_;
+    const bool silent = silent_left_.fetch_sub(1) > 0;
     net::FrameReader reader;
     const auto send = [&](const Value& m) {
       (void)net::write_all(conn, net::encode_message(m));
     };
-    while (running_.load()) {
+    while (true) {
       pollfd pfd{conn, POLLIN, 0};
       const int ready = ::poll(&pfd, 1, 50);
       if (ready > 0) {
-        std::string chunk;
-        const net::IoStatus st = net::read_some(conn, chunk);
+        const net::IoStatus st = reader.read_from(conn);
         if (st == net::IoStatus::kEof || st == net::IoStatus::kError) return;
-        reader.feed(chunk);
       }
       std::string payload;
       net::FrameReader::Status fs;
@@ -556,12 +630,10 @@ class FakeAgent {
     }
   }
 
-  std::atomic<bool> running_{false};
   std::atomic<int> silent_left_;
   int result_copies_;
-  int fd_ = -1;
   std::uint16_t port_ = 0;
-  std::thread thread_;
+  net::Daemon daemon_;  // last: its threads use every member above
 };
 
 TEST(Net, SilentAgentHitsHeartbeatTimeout) {

@@ -17,9 +17,10 @@
 
 #include "api/analysis.hpp"
 #include "api/plan.hpp"
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 #include "service/cache.hpp"
 #include "service/client.hpp"
-#include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "util/journal.hpp"
 #include "util/json.hpp"
@@ -90,24 +91,34 @@ bool wait_for_stats(const std::string& socket, Pred pred) {
   return false;
 }
 
-/// Writes raw bytes on a fresh connection and returns the first response
-/// line — for malformed-frame tests below the Client abstraction.
-std::string raw_request(const std::string& socket, const std::string& bytes) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0)
-      << std::strerror(errno);
-  EXPECT_TRUE(service::write_all(fd, bytes));
-  std::string line;
-  char ch = 0;
-  while (::read(fd, &ch, 1) == 1 && ch != '\n') line.push_back(ch);
-  ::close(fd);
-  return line;
-}
+/// A connection below the Client abstraction, for malformed-frame tests:
+/// raw bytes go out with net::write_all, responses come back through a
+/// net::FrameReader.
+struct RawConnection {
+  int fd = -1;
+  net::FrameReader reader;
+
+  explicit RawConnection(const std::string& socket) {
+    net::Endpoint ep;
+    ep.kind = net::Endpoint::Kind::kUnix;
+    ep.path = socket;
+    const net::DialResult r = net::dial(ep, 5.0);
+    EXPECT_TRUE(r.ok()) << r.error;
+    fd = r.fd;
+  }
+  ~RawConnection() {
+    if (fd >= 0) ::close(fd);
+  }
+
+  /// The next response payload; "" once the server has hung up.
+  std::string response() {
+    std::string payload;
+    while (reader.next(payload) != net::FrameReader::Status::kFrame) {
+      if (reader.read_from(fd) != net::IoStatus::kData) return "";
+    }
+    return payload;
+  }
+};
 
 std::string error_code(const Value& response) {
   const Value* err = response.find("error");
@@ -288,10 +299,31 @@ TEST(Service, MalformedInputGetsBadRequestAndServerSurvives) {
   no_plan.set("type", "submit");
   EXPECT_EQ(error_code(no_plan = c.request(no_plan)), "bad_request");
 
-  // Raw garbage that is not even JSON, below the Client abstraction.
-  const Value garbage = Value::parse(raw_request(socket, "not json at all\n"));
-  EXPECT_FALSE(garbage.get_bool("ok", true));
-  EXPECT_EQ(error_code(garbage), "bad_request");
+  // Bytes that are not a frame: one bad_request frame, then the server
+  // hangs up — a corrupt stream has no frame boundary to resync on.
+  {
+    RawConnection raw(socket);
+    ASSERT_TRUE(net::write_all(raw.fd, "not json at all\n"));
+    const Value garbage = Value::parse(raw.response());
+    EXPECT_FALSE(garbage.get_bool("ok", true));
+    EXPECT_EQ(error_code(garbage), "bad_request");
+    EXPECT_EQ(raw.response(), "");
+  }
+
+  // A valid frame that is not JSON: bad_request, and the same connection
+  // keeps serving.
+  {
+    RawConnection raw(socket);
+    ASSERT_TRUE(net::write_all(
+        raw.fd, net::encode_message(std::string_view("not json at all"))));
+    const Value garbage = Value::parse(raw.response());
+    EXPECT_FALSE(garbage.get_bool("ok", true));
+    EXPECT_EQ(error_code(garbage), "bad_request");
+    Value ping = Value::object();
+    ping.set("type", "ping");
+    ASSERT_TRUE(net::write_all(raw.fd, net::encode_message(ping)));
+    EXPECT_TRUE(Value::parse(raw.response()).get_bool("pong", false));
+  }
 
   // Plans demanding server-side file writes are refused.
   api::RunPlan writes = api::RunPlan::parse("hk:n=50,seed=1 census");
