@@ -34,7 +34,7 @@ void print_artifact() {
   for (const auto& [right, name, expected_deg] :
        {std::tuple<const Graph&, const char*, count_t>{a, "A (x) A", 9},
         std::tuple<const Graph&, const char*, count_t>{b, "A (x) B", 12}}) {
-    const kron::KronGraphView c(a, right);
+    const kron::KronChain c({a, right});
     const kron::TriangleOracle oracle(a, right);
     const kron::KronIndex idx(right.num_vertices());
     std::cout << "\n" << name << " (expected degree " << expected_deg
@@ -64,7 +64,7 @@ void print_artifact() {
 void bm_egonet_extraction(benchmark::State& state) {
   const Graph a = make_factor();
   const Graph b = a.with_all_self_loops();
-  const kron::KronGraphView c(a, b);
+  const kron::KronChain c({a, b});
   // Sample low-degree vertices (egonet cost is O(deg²)).
   std::vector<vid> sample;
   for (vid p = 1; p < c.num_vertices() && sample.size() < 64;
@@ -82,7 +82,7 @@ BENCHMARK(bm_egonet_extraction)->Unit(benchmark::kMicrosecond);
 
 void bm_center_triangles(benchmark::State& state) {
   const Graph a = make_factor();
-  const kron::KronGraphView c(a, a);
+  const kron::KronChain c({a, a});
   const auto ego = analysis::extract_egonet(c, 12345);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::center_triangles(ego));

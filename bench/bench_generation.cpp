@@ -112,7 +112,7 @@ void print_artifact() {
   const Graph a =
       api::GeneratorRegistry::builtin().build("hk:n=1024,m=3,p=0.6,seed=73");
   const Graph b = a;
-  const kron::KronGraphView c(a, b);
+  const kron::KronChain c({a, b});
 
   const double factor_bytes =
       static_cast<double>((a.nnz() + b.nnz()) * sizeof(vid) * 2);
@@ -282,7 +282,7 @@ BENCHMARK(bm_stream_annotated)->Unit(benchmark::kMillisecond);
 
 void bm_neighbor_expansion(benchmark::State& state) {
   const Graph a = gen::holme_kim(10000, 3, 0.6, 83);
-  const kron::KronGraphView c(a, a);
+  const kron::KronChain c({a, a});
   vid p = 1;
   for (auto _ : state) {
     const auto nb = c.neighbors(p % c.num_vertices());

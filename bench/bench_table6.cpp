@@ -34,7 +34,7 @@ void print_artifact() {
   const count_t tau_ab = kron::total_triangles(a, b);
   const double census_s = census.seconds();
 
-  const kron::KronGraphView caa(a, a), cab(a, b);
+  const kron::KronChain caa({a, a}), cab({a, b});
   util::Table t({"Matrix", "Vertices", "Edges", "Triangles"});
   auto h = [](count_t v) { return util::human(static_cast<double>(v)); };
   t.row({"A", h(a.num_vertices()), h(a.num_undirected_edges()),

@@ -28,9 +28,9 @@
 #include "api/registry.hpp"
 #include "common.hpp"
 #include "util/runmeta.hpp"
+#include "kron/multi.hpp"
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
-#include "kron/view.hpp"
 #include "triangle/count.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -102,8 +102,7 @@ PresetResult run_preset(const std::string& name, const std::string& spec_text,
   r.wedge_checks = report.stats.wedge_checks;
   r.report_pass = report.pass();
 
-  const kron::KronGraphView view(factors[0], factors[1]);
-  r.nnz_c = view.nnz();
+  r.nnz_c = kron::KronChain({factors[0], factors[1]}).nnz();
   r.materialized_edge_list_bytes =
       static_cast<std::size_t>(r.nnz_c) * sizeof(kron::EdgeRecord);
 

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   auto run = [&](const Graph& right, const char* name) {
-    const kron::KronGraphView c(a, right);
+    const kron::KronChain c({a, right});
     const kron::TriangleOracle oracle(a, right);
     const kron::KronIndex idx(right.num_vertices());
     std::cout << "\nC = A (x) " << name << ":\n";

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   const Graph a = api::GeneratorRegistry::builtin().build(spec);
   const Graph b = a.with_all_self_loops();
-  const kron::KronGraphView c(a, b);
+  const kron::KronChain c({a, b});
 
   std::cout << "C = A (x) (A+I), A = " << spec << ": "
             << util::human(static_cast<double>(c.num_vertices()))

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   {
     const auto factors =
         api::GeneratorRegistry::builtin().build_factors(ab_plan.spec);
-    const kron::KronGraphView cab(factors[0], factors[1]);
+    const kron::KronChain cab({factors[0], factors[1]});
     count_t planned = 0;
     for (vid p = 1; p < cab.num_vertices() && planned < 5;
          p += cab.num_vertices() / 23) {

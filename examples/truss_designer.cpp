@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   util::WallTimer timer;
   const truss::KronTrussOracle oracle(a, b);
   std::cout << "C = A (x) B: " << na * nb << " vertices, "
-            << kron::KronGraphView(a, b).num_undirected_edges()
+            << kron::KronChain({a, b}).num_undirected_edges()
             << " edges — truss decomposition known in " << timer.seconds()
             << " s (decomposed only A)\n\n";
 

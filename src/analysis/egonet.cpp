@@ -32,7 +32,7 @@ Egonet build(vid p, std::vector<vid> verts, HasEdge&& has_edge) {
 
 }  // namespace
 
-Egonet extract_egonet(const kron::KronGraphView& c, vid p) {
+Egonet extract_egonet(const kron::KronChain& c, vid p) {
   std::vector<vid> verts = c.neighbors(p);
   verts.push_back(p);
   return build(p, std::move(verts),

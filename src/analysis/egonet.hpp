@@ -1,18 +1,19 @@
 // Egonet extraction on implicit Kronecker product graphs (the validation
 // instrument of the paper's Fig. 7).
 //
-// The egonet of p is the subgraph induced by {p} ∪ N(p). On C = A ⊗ B it is
-// built without materializing C: the neighbor list comes from the factor
-// rows and each induced edge is two factor-matrix membership tests. The
-// number of triangles at p inside its egonet equals t_C[p], so comparing
-// the materialized egonet against TriangleOracle::vertex_triangles is an
-// end-to-end validation of Thm 1 / Cor 1 at that vertex.
+// The egonet of p is the subgraph induced by {p} ∪ N(p). On an implicit
+// product C = A₁ ⊗ … ⊗ A_k it is built without materializing C: the
+// neighbor list comes from the factor rows and each induced edge is k
+// factor-matrix membership tests. The number of triangles at p inside its
+// egonet equals t_C[p], so comparing the materialized egonet against
+// TriangleOracle::vertex_triangles is an end-to-end validation of Thm 1 /
+// Cor 1 at that vertex.
 #pragma once
 
 #include <vector>
 
 #include "core/graph.hpp"
-#include "kron/view.hpp"
+#include "kron/multi.hpp"
 
 namespace kronotri::analysis {
 
@@ -23,8 +24,8 @@ struct Egonet {
   vid local_center = 0;        ///< index of the center within `vertices`
 };
 
-/// Extracts the egonet of product vertex p from the implicit view.
-Egonet extract_egonet(const kron::KronGraphView& c, vid p);
+/// Extracts the egonet of product vertex p from the implicit product.
+Egonet extract_egonet(const kron::KronChain& c, vid p);
 
 /// Extracts the egonet of vertex p of an explicit graph (reference path).
 Egonet extract_egonet(const Graph& g, vid p);

@@ -108,20 +108,12 @@ PlanContext::PlanContext(GraphSpec spec, RunOptions options,
       options_(std::move(options)),
       factors_(std::move(factors)) {
   // Outer modifiers apply to the materialized product, so the factor-side
-  // structures (view/oracle/chain/stream) would describe a DIFFERENT graph;
+  // structures (oracle/chain/stream) would describe a DIFFERENT graph;
   // a modified product is treated as a plain explicit graph.
   const bool modified = spec_.get_bool("prune", false) ||
                         spec_.get_bool("loops", false);
   product_ = spec_.is_kron() && factors_.size() >= 2 && !modified;
   two_factor_ = product_ && factors_.size() == 2;
-}
-
-const kron::KronGraphView& PlanContext::view() const {
-  if (!two_factor_) {
-    throw std::logic_error("PlanContext::view() requires a 2-factor product");
-  }
-  if (!view_) view_.emplace(factors_[0], factors_[1]);
-  return *view_;
 }
 
 const kron::TriangleOracle& PlanContext::oracle() const {
@@ -404,7 +396,7 @@ class DegreeAnalysis final : public Analysis {
   std::unique_ptr<EdgeSink> make_sink(const PlanContext& ctx, std::uint64_t,
                                       std::uint64_t) override {
     if (!measured_ || !ctx.two_factor()) return nullptr;
-    return std::make_unique<DegreeCensusSink>(ctx.view().num_vertices());
+    return std::make_unique<DegreeCensusSink>(ctx.chain().num_vertices());
   }
 
   AnalysisReport execute(PlanContext& ctx,
@@ -471,7 +463,7 @@ class TrussAnalysis final : public Analysis {
     if (oracle_ && ctx.two_factor()) {
       const truss::KronTrussOracle oracle(ctx.factors()[0], ctx.factors()[1]);
       os << "Thm 3 oracle for C = A (x) B ("
-         << ctx.view().num_undirected_edges() << " edges); max truss "
+         << ctx.chain().num_undirected_edges() << " edges); max truss "
          << oracle.max_truss() << "\n";
       for (count_t k = 3; k <= oracle.max_truss(); ++k) {
         add(k, oracle.edges_in_truss(k));
@@ -559,7 +551,7 @@ class ClusteringAnalysis final : public Analysis {
 };
 
 /// `egonet` — the Fig. 7 protocol at one product vertex: materialize the
-/// egonet from the implicit view and check its center triangle count
+/// egonet from the implicit product and check its center triangle count
 /// against the closed form. Params: vertex=P (required).
 class EgonetAnalysis final : public Analysis {
  public:
@@ -580,7 +572,7 @@ class EgonetAnalysis final : public Analysis {
     std::ostringstream os;
     count_t measured = 0, formula = 0;
     if (ctx.two_factor()) {
-      const auto& c = ctx.view();
+      const auto& c = ctx.chain();
       if (vertex_ >= c.num_vertices()) {
         throw std::out_of_range("vertex out of range (product has " +
                                 std::to_string(c.num_vertices()) +
@@ -589,9 +581,9 @@ class EgonetAnalysis final : public Analysis {
       const auto ego = analysis::extract_egonet(c, vertex_);
       measured = analysis::center_triangles(ego);
       formula = ctx.oracle().vertex_triangles(vertex_);
-      os << "product vertex " << vertex_ << " = (A:"
-         << c.index().a_of(vertex_) << ", B:" << c.index().b_of(vertex_)
-         << ")\n"
+      const kron::KronChain::Coords xs = c.decompose(vertex_);
+      os << "product vertex " << vertex_ << " = (A:" << xs[0]
+         << ", B:" << xs[1] << ")\n"
          << "  degree:             " << c.nonloop_degree(vertex_) << "\n"
          << "  egonet size:        " << ego.vertices.size() << " vertices, "
          << ego.graph.num_undirected_edges() << " edges\n";

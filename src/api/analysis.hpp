@@ -14,7 +14,7 @@
 //     the analysis rides THE single stream_parallel pass (composed with
 //     every other sink-backed analysis through one TeeSink per partition);
 //   * factor/graph-backed — execute() reads the PlanContext: the factor
-//     list, the lazily built oracle/view/chain, or the materialized graph
+//     list, the lazily built oracle/chain, or the materialized graph
 //     (needs_graph() tells the engine to materialize — during the stream
 //     pass via a CooCollectorSink when one runs anyway, by building the
 //     spec otherwise).
@@ -38,7 +38,6 @@
 #include "core/graph.hpp"
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
-#include "kron/view.hpp"
 #include "util/json.hpp"
 
 namespace kronotri::api {
@@ -119,7 +118,7 @@ class Params {
 };
 
 /// Everything an Analysis may read about the job. Factor-side structures
-/// (view, oracle, chain) are built lazily ONCE and shared by every
+/// (oracle, chain) are built lazily ONCE and shared by every
 /// analysis — census and validate both need the oracle, but it is
 /// constructed a single time per run. The context owns the factors.
 class PlanContext {
@@ -133,16 +132,15 @@ class PlanContext {
   }
 
   /// True when the job is a Kronecker product of exactly two factors with
-  /// no outer modifiers — the regime where the implicit view, the
-  /// two-factor oracle and the partitioned edge stream all apply.
+  /// no outer modifiers — the regime where the two-factor oracle and the
+  /// partitioned edge stream apply.
   [[nodiscard]] bool two_factor() const noexcept { return two_factor_; }
   /// True for any multi-factor product without outer modifiers (k >= 2).
   [[nodiscard]] bool is_product() const noexcept { return product_; }
 
-  /// Implicit product view / closed-form oracle; require two_factor().
-  [[nodiscard]] const kron::KronGraphView& view() const;
+  /// Closed-form oracle; requires two_factor().
   [[nodiscard]] const kron::TriangleOracle& oracle() const;
-  /// k-factor chain over the factor list; requires is_product().
+  /// Implicit product over the factor list (any k); requires is_product().
   [[nodiscard]] const kron::KronChain& chain() const;
 
   /// The explicit graph of the job: the single built graph for non-product
@@ -158,7 +156,6 @@ class PlanContext {
   std::vector<Graph> factors_;
   bool two_factor_ = false;
   bool product_ = false;
-  mutable std::optional<kron::KronGraphView> view_;
   mutable std::optional<kron::TriangleOracle> oracle_;
   mutable std::optional<kron::KronChain> chain_;
   mutable std::optional<Graph> graph_;

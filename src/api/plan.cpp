@@ -446,10 +446,7 @@ RunReport run(const RunPlan& plan, const GeneratorRegistry& generators,
   }
 
   PlanContext ctx(spec, plan.options, std::move(factors));
-  if (ctx.two_factor()) {
-    report.num_vertices = ctx.view().num_vertices();
-    report.num_undirected_edges = ctx.view().num_undirected_edges();
-  } else if (ctx.is_product()) {
+  if (ctx.is_product()) {
     report.num_vertices = ctx.chain().num_vertices();
     report.num_undirected_edges = ctx.chain().num_undirected_edges();
   } else {

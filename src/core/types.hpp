@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 namespace kronotri {
 
@@ -18,5 +19,14 @@ using esz = std::uint64_t;
 /// Triangle / degree counts. τ(C) = 6·τ(A)·τ(B) reaches ~1.4e14 in the
 /// paper's Table VI; uint64 gives headroom to ~1.8e19.
 using count_t = std::uint64_t;
+
+/// a·b, or std::nullopt when the product does not fit in 64 bits — for
+/// sizes of C, which outgrow the vid space long before the factors do.
+[[nodiscard]] constexpr std::optional<std::uint64_t> checked_mul(
+    std::uint64_t a, std::uint64_t b) noexcept {
+  std::uint64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) return std::nullopt;
+  return r;
+}
 
 }  // namespace kronotri

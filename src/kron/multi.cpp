@@ -1,6 +1,7 @@
 #include "kron/multi.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/ops.hpp"
 #include "kron/product.hpp"
@@ -8,21 +9,61 @@
 
 namespace kronotri::kron {
 
+namespace {
+
+/// Π size(f) over the factors, throwing std::invalid_argument that names
+/// every factor's size when the product does not fit in 64 bits. A zero
+/// factor makes the product zero whatever the others multiply to.
+template <typename Size>
+std::uint64_t checked_product(const std::vector<Graph>& factors, Size size,
+                              const char* what) {
+  std::uint64_t prod = 1;
+  bool overflow = false;
+  for (const Graph& f : factors) {
+    const std::uint64_t s = size(f);
+    if (s == 0) return 0;
+    const auto next = checked_mul(prod, s);
+    overflow |= !next;
+    if (next) prod = *next;
+  }
+  if (overflow) {
+    std::string sizes;
+    for (const Graph& f : factors) {
+      sizes += (sizes.empty() ? "" : " x ") + std::to_string(size(f));
+    }
+    throw std::invalid_argument("Kronecker product of factors with " + sizes +
+                                " " + what + " has 2^64 or more " + what);
+  }
+  return prod;
+}
+
+}  // namespace
+
 KronChain::KronChain(std::vector<Graph> factors)
     : factors_(std::move(factors)) {
   if (factors_.empty()) {
     throw std::invalid_argument("KronChain needs at least one factor");
+  }
+  if (factors_.size() > kMaxFactors) {
+    throw std::invalid_argument("KronChain takes at most " +
+                                std::to_string(kMaxFactors) + " factors");
   }
   bool any_loop_free = false;
   for (const Graph& f : factors_) {
     if (!f.is_undirected()) {
       throw std::invalid_argument("KronChain factors must be undirected");
     }
-    n_ *= f.num_vertices();
-    nnz_ *= f.nnz();
     any_loop_free |= !f.has_self_loops();
   }
   product_loop_free_ = any_loop_free;
+  n_ = checked_product(
+      factors_, [](const Graph& f) { return f.num_vertices(); }, "vertices");
+  nnz_ = checked_product(
+      factors_, [](const Graph& f) { return f.nnz(); }, "nonzeros");
+  weight_.assign(factors_.size(), 1);
+  for (std::size_t i = factors_.size() - 1; i-- > 0;) {
+    weight_[i] = weight_[i + 1] * factors_[i + 1].num_vertices();
+  }
 }
 
 count_t KronChain::num_undirected_edges() const {
@@ -31,29 +72,28 @@ count_t KronChain::num_undirected_edges() const {
   return (nnz_ - loops) / 2 + loops;
 }
 
-std::vector<vid> KronChain::decompose(vid p) const {
-  std::vector<vid> xs(factors_.size());
-  for (std::size_t i = factors_.size(); i-- > 0;) {
-    const vid ni = factors_[i].num_vertices();
-    xs[i] = p % ni;
-    p /= ni;
+KronChain::Coords KronChain::decompose(vid p) const noexcept {
+  Coords xs;
+  const std::size_t last = factors_.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) {
+    xs[i] = p / weight_[i];
+    p %= weight_[i];
   }
+  xs[last] = p;
   return xs;
 }
 
-vid KronChain::compose(const std::vector<vid>& xs) const {
+vid KronChain::compose(std::span<const vid> xs) const {
   if (xs.size() != factors_.size()) {
     throw std::invalid_argument("compose: wrong number of coordinates");
   }
   vid p = 0;
-  for (std::size_t i = 0; i < factors_.size(); ++i) {
-    p = p * factors_[i].num_vertices() + xs[i];
-  }
+  for (std::size_t i = 0; i < factors_.size(); ++i) p += xs[i] * weight_[i];
   return p;
 }
 
 bool KronChain::has_edge(vid p, vid q) const {
-  const std::vector<vid> xs = decompose(p), ys = decompose(q);
+  const Coords xs = decompose(p), ys = decompose(q);
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     if (!factors_[i].has_edge(xs[i], ys[i])) return false;
   }
@@ -61,7 +101,7 @@ bool KronChain::has_edge(vid p, vid q) const {
 }
 
 esz KronChain::out_degree(vid p) const {
-  const std::vector<vid> xs = decompose(p);
+  const Coords xs = decompose(p);
   esz d = 1;
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     d *= factors_[i].out_degree(xs[i]);
@@ -70,39 +110,21 @@ esz KronChain::out_degree(vid p) const {
 }
 
 esz KronChain::nonloop_degree(vid p) const {
-  const std::vector<vid> xs = decompose(p);
-  esz d = 1, loop = 1;
+  const Coords xs = decompose(p);
+  esz d = 1;
+  bool loop = true;
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     d *= factors_[i].out_degree(xs[i]);
-    loop &= factors_[i].has_edge(xs[i], xs[i]) ? esz{1} : esz{0};
+    loop = loop && factors_[i].has_edge(xs[i], xs[i]);
   }
-  return d - loop;
+  return d - (loop ? 1 : 0);
 }
 
 std::vector<vid> KronChain::neighbors(vid p) const {
-  const std::vector<vid> xs = decompose(p);
   std::vector<vid> out;
   out.reserve(out_degree(p));
-  // Odometer over the factor rows, left factor most significant; factor
-  // rows are sorted, so composed ids come out ascending.
-  std::vector<std::span<const vid>> rows(factors_.size());
-  for (std::size_t i = 0; i < factors_.size(); ++i) {
-    rows[i] = factors_[i].neighbors(xs[i]);
-    if (rows[i].empty()) return out;
-  }
-  std::vector<std::size_t> idx(factors_.size(), 0);
-  for (;;) {
-    vid id = 0;
-    for (std::size_t i = 0; i < factors_.size(); ++i) {
-      id = id * factors_[i].num_vertices() + rows[i][idx[i]];
-    }
-    out.push_back(id);
-    std::size_t i = factors_.size();
-    while (i > 0 && idx[i - 1] + 1 == rows[i - 1].size()) --i;
-    if (i == 0) return out;
-    ++idx[i - 1];
-    for (std::size_t j = i; j < factors_.size(); ++j) idx[j] = 0;
-  }
+  for_each_neighbor(decompose(p), [&](vid q, const vid*) { out.push_back(q); });
+  return out;
 }
 
 Graph KronChain::materialize() const {
@@ -132,7 +154,7 @@ void KronChain::require_triangle_stats() const {
 
 count_t KronChain::vertex_triangles(vid p) const {
   require_triangle_stats();
-  const std::vector<vid> xs = decompose(p);
+  const Coords xs = decompose(p);
   count_t prod = 1;
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     prod *= diag_cube_[i][xs[i]];
@@ -142,7 +164,7 @@ count_t KronChain::vertex_triangles(vid p) const {
 
 count_t KronChain::edge_triangles(vid p, vid q) const {
   require_triangle_stats();
-  const std::vector<vid> xs = decompose(p), ys = decompose(q);
+  const Coords xs = decompose(p), ys = decompose(q);
   count_t prod = 1;
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     if (!factors_[i].has_edge(xs[i], ys[i])) {

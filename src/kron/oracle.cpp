@@ -1,6 +1,6 @@
 #include "kron/oracle.hpp"
 
-#include "kron/view.hpp"
+#include "kron/multi.hpp"
 
 namespace kronotri::kron {
 
@@ -12,8 +12,10 @@ TriangleOracle::TriangleOracle(const Graph& a, const Graph& b)
       dmat_(kronotri::kron::edge_triangles(a, b)),
       deg_(kronotri::kron::degrees(a, b)) {
   total_ = tvec_.sum() / 3;
-  n_ = a.num_vertices() * b.num_vertices();
-  edges_ = KronGraphView(a, b).num_undirected_edges();
+  // The chain checks that C's vertex and nonzero counts fit in 64 bits.
+  const KronChain c({a, b});
+  n_ = c.num_vertices();
+  edges_ = c.num_undirected_edges();
 }
 
 double TriangleOracle::local_clustering(vid p) const {

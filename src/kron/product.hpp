@@ -4,7 +4,7 @@
 // used for small factors: unit tests validate every closed formula against
 // direct computation on a materialized C = A ⊗ B, and the egonet benches
 // materialize local neighborhoods. Production-scale use goes through
-// kron::KronGraphView / kron::EdgeStream instead.
+// the implicit kron::KronChain / kron::EdgeStream instead.
 #pragma once
 
 #include <vector>

@@ -36,7 +36,6 @@
 #include "kron/oracle.hpp"        // IWYU pragma: export
 #include "kron/product.hpp"       // IWYU pragma: export
 #include "kron/stream.hpp"        // IWYU pragma: export
-#include "kron/view.hpp"          // IWYU pragma: export
 #include "triangle/bruteforce.hpp"  // IWYU pragma: export
 #include "triangle/census.hpp"    // IWYU pragma: export
 #include "triangle/clustering.hpp"  // IWYU pragma: export

@@ -4,153 +4,61 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "kron/multi.hpp"
-#include "kron/view.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace kronotri::validate {
 
-namespace {
-
-/// A chain of k factors with ≥ 2 vertices each has ≥ 2^k product vertices,
-/// so 64 factors already saturates the vid space — a fixed cap lets the hot
-/// loops keep per-vertex coordinate state on the stack.
-constexpr std::size_t kMaxFactors = 64;
-
-std::vector<const Graph*> chain_factor_ptrs(const kron::KronChain& chain) {
-  std::vector<const Graph*> fs;
-  fs.reserve(chain.num_factors());
-  for (std::size_t i = 0; i < chain.num_factors(); ++i) {
-    fs.push_back(&chain.factor(i));
-  }
-  return fs;
-}
-
-}  // namespace
-
-StreamingCensus::StreamingCensus(std::vector<const Graph*> factors,
-                                 StreamingOptions opt)
-    : factors_(std::move(factors)), opt_(opt) {
-  if (factors_.empty()) {
-    throw std::invalid_argument("StreamingCensus needs at least one factor");
-  }
-  if (factors_.size() > kMaxFactors) {
-    throw std::invalid_argument("StreamingCensus: too many factors");
-  }
-  radix_.reserve(factors_.size());
-  for (const Graph* f : factors_) {
-    if (!f->is_undirected()) {
-      throw std::invalid_argument(
-          "streaming census (Def. 5/6) requires undirected factors — an "
-          "undirected product needs every factor undirected");
-    }
-    radix_.push_back(f->num_vertices());
-    n_ *= f->num_vertices();
-  }
-  weight_.assign(factors_.size(), 1);
-  for (std::size_t i = factors_.size() - 1; i-- > 0;) {
-    weight_[i] = weight_[i + 1] * radix_[i + 1];
-  }
-  plan_shards();
-}
+using kron::KronChain;
 
 StreamingCensus::StreamingCensus(const Graph& a, const Graph& b,
                                  StreamingOptions opt)
-    : StreamingCensus(std::vector<const Graph*>{&a, &b}, opt) {}
+    : owned_(std::make_unique<const KronChain>(std::vector<Graph>{a, b})),
+      chain_(owned_.get()),
+      opt_(opt) {
+  plan_shards();
+}
 
-StreamingCensus::StreamingCensus(const kron::KronGraphView& view,
-                                 StreamingOptions opt)
-    : StreamingCensus(
-          std::vector<const Graph*>{&view.factor_a(), &view.factor_b()}, opt) {}
-
-StreamingCensus::StreamingCensus(const kron::KronChain& chain,
-                                 StreamingOptions opt)
-    : StreamingCensus(chain_factor_ptrs(chain), opt) {}
-
-void StreamingCensus::decompose(vid p, vid* coords) const noexcept {
-  for (std::size_t i = factors_.size(); i-- > 0;) {
-    coords[i] = p % radix_[i];
-    p /= radix_[i];
-  }
+StreamingCensus::StreamingCensus(const KronChain& chain, StreamingOptions opt)
+    : chain_(&chain), opt_(opt) {
+  plan_shards();
 }
 
 esz StreamingCensus::upper_degree(vid p) const {
-  const std::size_t k = factors_.size();
-  vid coords[kMaxFactors];
-  decompose(p, coords);
+  const KronChain& c = *chain_;
+  const std::size_t k = c.num_factors();
+  const KronChain::Coords coords = c.decompose(p);
   // suffix[f] = Π_{i ≥ f} d_i(x_i): the free choices once factor f−1 fixed
   // the comparison.
-  esz suffix[kMaxFactors + 1];
+  esz suffix[KronChain::kMaxFactors + 1];
   suffix[k] = 1;
   for (std::size_t i = k; i-- > 0;) {
-    suffix[i] = suffix[i + 1] * factors_[i]->out_degree(coords[i]);
+    suffix[i] = suffix[i + 1] * c.factor(i).out_degree(coords[i]);
   }
   // A neighbor tuple composes to an id > p exactly when its first differing
   // coordinate exceeds p's; a tuple can only agree on the prefix 0..f−1 if
   // every prefix factor has a self loop at its coordinate.
   esz total = 0;
   for (std::size_t f = 0; f < k; ++f) {
-    const auto row = factors_[f]->neighbors(coords[f]);
+    const auto row = c.factor(f).neighbors(coords[f]);
     const esz greater = static_cast<esz>(
         row.end() - std::upper_bound(row.begin(), row.end(), coords[f]));
     total += greater * suffix[f + 1];
-    if (!factors_[f]->has_edge(coords[f], coords[f])) return total;
+    if (!c.factor(f).has_edge(coords[f], coords[f])) return total;
   }
   return total;  // all-equal tuple is p itself, not > p
 }
 
-void StreamingCensus::neighbors_with_coords(vid p, const vid* p_coords,
-                                            std::vector<vid>& ids,
-                                            std::vector<vid>& coords) const {
-  const std::size_t k = factors_.size();
-  ids.clear();
-  coords.clear();
-  std::span<const vid> rows[kMaxFactors];
-  esz deg = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    rows[i] = factors_[i]->neighbors(p_coords[i]);
-    deg *= rows[i].size();
-  }
-  if (deg == 0) return;
-  ids.reserve(deg);
-  coords.reserve(deg * k);
-
-  // Odometer over the factor rows, left digit most significant; rows are
-  // sorted, so composed ids come out ascending. value[i] is the partial sum
-  // of the first i digits.
-  std::size_t idx[kMaxFactors] = {};
-  vid value[kMaxFactors + 1];
-  value[0] = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    value[i + 1] = value[i] + rows[i][0] * weight_[i];
-  }
-  for (;;) {
-    const vid id = value[k];
-    if (id != p) {  // drop the self loop — the census runs on C − I∘C
-      ids.push_back(id);
-      for (std::size_t i = 0; i < k; ++i) coords.push_back(rows[i][idx[i]]);
-    }
-    std::size_t i = k;
-    while (i > 0 && idx[i - 1] + 1 == rows[i - 1].size()) --i;
-    if (i == 0) return;
-    ++idx[i - 1];
-    for (std::size_t j = i; j < k; ++j) idx[j] = 0;
-    for (std::size_t j = i - 1; j < k; ++j) {
-      value[j + 1] = value[j] + rows[j][idx[j]] * weight_[j];
-    }
-  }
-}
-
 void StreamingCensus::plan_shards() {
   shards_.clear();
-  if (n_ == 0) return;
+  const vid n = num_vertices();
+  if (n == 0) return;
   if (opt_.force_shards > 0) {
-    const std::uint64_t s = std::min<std::uint64_t>(opt_.force_shards, n_);
+    const std::uint64_t s = std::min<std::uint64_t>(opt_.force_shards, n);
     for (std::uint64_t i = 0; i < s; ++i) {
-      const vid lo = static_cast<vid>(n_ / s * i + std::min<vid>(i, n_ % s));
+      const vid lo = static_cast<vid>(n / s * i + std::min<vid>(i, n % s));
       const vid hi =
-          static_cast<vid>(n_ / s * (i + 1) + std::min<vid>(i + 1, n_ % s));
+          static_cast<vid>(n / s * (i + 1) + std::min<vid>(i + 1, n % s));
       if (lo < hi) shards_.push_back({lo, hi});
     }
     return;
@@ -163,8 +71,8 @@ void StreamingCensus::plan_shards() {
   std::vector<std::size_t> cost;
   vid lo = 0;
   std::size_t used = sizeof(esz);  // the offsets array's sentinel entry
-  for (vid base = 0; base < n_; base += kChunk) {
-    const vid end = std::min<vid>(n_, base + kChunk);
+  for (vid base = 0; base < n; base += kChunk) {
+    const vid end = std::min<vid>(n, base + kChunk);
     cost.assign(static_cast<std::size_t>(end - base), 0);
 #pragma omp parallel for schedule(static)
     for (std::int64_t uu = 0; uu < static_cast<std::int64_t>(end - base);
@@ -184,7 +92,7 @@ void StreamingCensus::plan_shards() {
       used += c;
     }
   }
-  shards_.push_back({lo, n_});
+  shards_.push_back({lo, n});
 }
 
 void StreamingCensus::process_shard(ShardRange range,
@@ -194,7 +102,8 @@ void StreamingCensus::process_shard(ShardRange range,
                                     count_t& wedge_checks) const {
   const vid lo = range.lo;
   const std::int64_t len = static_cast<std::int64_t>(range.hi - range.lo);
-  const std::size_t k = factors_.size();
+  const std::size_t k = chain_->num_factors();
+  const Graph* const factors = &chain_->factor(0);  // contiguous, k of them
 
   offsets.assign(static_cast<std::size_t>(len) + 1, 0);
 #pragma omp parallel for schedule(static)
@@ -216,9 +125,17 @@ void StreamingCensus::process_shard(ShardRange range,
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::int64_t uu = 0; uu < len; ++uu) {
       const vid u = lo + static_cast<vid>(uu);
-      vid ucoords[kMaxFactors];
-      decompose(u, ucoords);
-      neighbors_with_coords(u, ucoords, ids, coords);
+      // N(u) with each neighbor's factor coordinates kept alongside:
+      // coords[i*k .. i*k+k) belongs to ids[i]. The self loop is dropped —
+      // the census runs on C − I∘C.
+      ids.clear();
+      coords.clear();
+      chain_->for_each_neighbor(
+          chain_->decompose(u), [&](vid v, const vid* vc) {
+            if (v == u) return;
+            ids.push_back(v);
+            coords.insert(coords.end(), vc, vc + k);
+          });
       const std::size_t deg = ids.size();
       const std::size_t split = static_cast<std::size_t>(
           std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
@@ -236,7 +153,7 @@ void StreamingCensus::process_shard(ShardRange range,
           ++checks;
           bool closed = true;
           for (std::size_t f = 0; f < k; ++f) {
-            if (!factors_[f]->has_edge(ci[f], cj[f])) {
+            if (!factors[f].has_edge(ci[f], cj[f])) {
               closed = false;
               break;
             }
@@ -305,17 +222,13 @@ StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
 
 void StreamingCensus::Shard::for_each_owned_edge(
     const std::function<void(vid, vid, count_t)>& fn) const {
-  std::vector<vid> ids, coords;
-  vid ucoords[kMaxFactors];
+  const KronChain& chain = *engine_->chain_;
   for (vid u = range_.lo; u < range_.hi; ++u) {
-    engine_->decompose(u, ucoords);
-    engine_->neighbors_with_coords(u, ucoords, ids, coords);
-    const std::size_t split = static_cast<std::size_t>(
-        std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
-    const esz off = offsets_[static_cast<std::size_t>(u - range_.lo)];
-    for (std::size_t i = split; i < ids.size(); ++i) {
-      fn(u, ids[i], edge_[off + (i - split)]);
-    }
+    const count_t* counts =
+        edge_.data() + offsets_[static_cast<std::size_t>(u - range_.lo)];
+    chain.for_each_neighbor(chain.decompose(u), [&](vid v, const vid*) {
+      if (v > u) fn(u, v, *counts++);
+    });
   }
 }
 

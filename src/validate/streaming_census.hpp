@@ -19,11 +19,12 @@
 //     discipline that makes the PR-2 census atomic-free), so counts are
 //     bit-identical to triangle::CensusWorkspace on the materialized
 //     product at any thread count and any shard count.
-//   * Wedges are enumerated from the factors: N(u) is the odometer product
-//     of the factor adjacency rows (sorted, with per-factor coordinates
-//     kept alongside), and a wedge {a, b} closes iff every factor has the
-//     corresponding coordinate edge — k sorted-row membership queries,
-//     O(log d) each, never touching C.
+//   * Wedges are enumerated from the factors through kron::KronChain, the
+//     one implicit-product type: N(u) comes from the chain's neighbor
+//     odometer (sorted, with per-factor coordinates kept alongside), and a
+//     wedge {a, b} closes iff every factor has the corresponding
+//     coordinate edge — k sorted-row membership queries, O(log d) each,
+//     never touching C.
 //
 // Work is Σ_p C(d(p), 2) wedge closures — the price of exact per-vertex
 // counts with only shard-local memory (an oriented enumeration would need
@@ -35,17 +36,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/graph.hpp"
 #include "core/types.hpp"
-
-namespace kronotri::kron {
-class KronGraphView;
-class KronChain;
-}  // namespace kronotri::kron
+#include "kron/multi.hpp"
 
 namespace kronotri::validate {
 
@@ -96,25 +94,22 @@ struct StreamingStats {
 
 class StreamingCensus {
  public:
-  /// Census of C = A ⊗ B. Factors must be undirected (same Def. 5/6
-  /// precondition as triangle::CensusWorkspace; throws
-  /// std::invalid_argument otherwise) and must outlive the engine. Self
-  /// loops in the factors are fine — the census runs on C − I∘C.
+  /// Census of C = A ⊗ B, over the engine's own KronChain copy of the
+  /// factors. Factors must be undirected (same Def. 5/6 precondition as
+  /// triangle::CensusWorkspace; throws std::invalid_argument otherwise).
+  /// Self loops in the factors are fine — the census runs on C − I∘C.
   StreamingCensus(const Graph& a, const Graph& b, StreamingOptions opt = {});
-
-  /// Same product, spelled as the implicit view the rest of the library
-  /// passes around.
-  explicit StreamingCensus(const kron::KronGraphView& view,
-                           StreamingOptions opt = {});
 
   /// Census of a k-factor chain C = A₁ ⊗ … ⊗ A_k (k ≥ 1). The chain must
   /// outlive the engine.
   explicit StreamingCensus(const kron::KronChain& chain,
                            StreamingOptions opt = {});
 
-  [[nodiscard]] vid num_vertices() const noexcept { return n_; }
+  [[nodiscard]] vid num_vertices() const noexcept {
+    return chain_->num_vertices();
+  }
   [[nodiscard]] std::size_t num_factors() const noexcept {
-    return factors_.size();
+    return chain_->num_factors();
   }
 
   /// Shard boundaries this engine will process (fixed at construction,
@@ -186,28 +181,13 @@ class StreamingCensus {
   [[nodiscard]] esz upper_degree(vid p) const;
 
  private:
-  explicit StreamingCensus(std::vector<const Graph*> factors,
-                           StreamingOptions opt);
-
   void plan_shards();
   void process_shard(ShardRange range, std::vector<count_t>& vertex,
                      std::vector<count_t>& edge, std::vector<esz>& offsets,
                      count_t& wedge_checks) const;
 
-  /// Decomposes p into per-factor coordinates (mixed radix, left factor
-  /// most significant), writing into coords[0..k).
-  void decompose(vid p, vid* coords) const noexcept;
-
-  /// Materializes the sorted neighbor list of p (self excluded) with the
-  /// per-factor coordinates of each neighbor kept alongside: ids[i] is the
-  /// product id, coords[i*k .. i*k+k) its factor coordinates.
-  void neighbors_with_coords(vid p, const vid* p_coords, std::vector<vid>& ids,
-                             std::vector<vid>& coords) const;
-
-  std::vector<const Graph*> factors_;
-  std::vector<vid> radix_;   ///< per-factor vertex counts
-  std::vector<vid> weight_;  ///< mixed-radix weights (suffix products)
-  vid n_ = 1;
+  std::unique_ptr<const kron::KronChain> owned_;  ///< set by the (a, b) form
+  const kron::KronChain* chain_;
   StreamingOptions opt_;
   std::vector<ShardRange> shards_;
 };

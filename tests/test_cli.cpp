@@ -395,6 +395,20 @@ TEST_F(CliTest, ValidateSpecRejectsBadBudget) {
   EXPECT_NE(err.find("byte suffix"), std::string::npos);
 }
 
+TEST_F(CliTest, ValidateRefusesProductPastSixtyFourBits) {
+  // 65536^4 = 2^64 vertices: an unchecked size product wraps to 0 and the
+  // census of an empty range would PASS.
+  std::string out, err;
+  EXPECT_NE(run_cmd({"validate", "--spec",
+                     "kron:(cycle:n=65536)x(cycle:n=65536)x(cycle:n=65536)x("
+                     "cycle:n=65536)"},
+                    &out, &err),
+            0);
+  EXPECT_EQ(out.find("PASS"), std::string::npos) << out;
+  EXPECT_NE(err.find("65536 x 65536 x 65536 x 65536"), std::string::npos)
+      << err;
+}
+
 TEST_F(CliTest, EgonetChecksFormula) {
   const std::string a = tmp("ea.txt");
   io::write_edge_list(gen::hub_cycle(), a);

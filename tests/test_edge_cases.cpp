@@ -8,10 +8,10 @@
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
+#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "kron/stream.hpp"
-#include "kron/view.hpp"
 #include "triangle/count.hpp"
 #include "triangle/directed.hpp"
 #include "triangle/support.hpp"
@@ -43,9 +43,9 @@ TEST(EdgeCases, SingleVertexWithLoop) {
 TEST(EdgeCases, EmptyFactorProducesEmptyProduct) {
   const Graph e = Graph::from_edges(3, {}, false);
   const Graph k = gen::clique(4);
-  const kron::KronGraphView view(e, k);
-  EXPECT_EQ(view.nnz(), 0u);
-  EXPECT_EQ(view.num_undirected_edges(), 0u);
+  const kron::KronChain chain({e, k});
+  EXPECT_EQ(chain.nnz(), 0u);
+  EXPECT_EQ(chain.num_undirected_edges(), 0u);
   EXPECT_EQ(kron::total_triangles(e, k), 0u);
   kron::EdgeStream stream(e, k);
   EXPECT_EQ(stream.partition_size(), 0u);
@@ -123,10 +123,10 @@ TEST(EdgeCases, DegreeSummaryOfEmptyGraph) {
 TEST(EdgeCases, ViewOnMismatchedLifetimesIsCallerProblemButQueriesWork) {
   const Graph a = gen::clique(3);
   const Graph b = gen::cycle(4);
-  const kron::KronGraphView view(a, b);
+  const kron::KronChain chain({a, b});
   // 12 vertices, every vertex degree 2·2 = 4.
-  for (vid p = 0; p < view.num_vertices(); ++p) {
-    EXPECT_EQ(view.out_degree(p), 4u);
+  for (vid p = 0; p < chain.num_vertices(); ++p) {
+    EXPECT_EQ(chain.out_degree(p), 4u);
   }
 }
 

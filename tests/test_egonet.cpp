@@ -4,9 +4,9 @@
 #include "analysis/egonet.hpp"
 #include "gen/classic.hpp"
 #include "helpers.hpp"
+#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
-#include "kron/view.hpp"
 #include "triangle/count.hpp"
 
 namespace {
@@ -60,10 +60,10 @@ TEST_P(EgonetProperty, CenterTrianglesEqualGlobalParticipation) {
 TEST_P(EgonetProperty, ImplicitViewMatchesExplicitExtraction) {
   const Graph a = kt_test::random_undirected(6, 0.4, GetParam() + 100);
   const Graph b = kt_test::random_undirected(5, 0.5, GetParam() + 101, 0.4);
-  const kron::KronGraphView view(a, b);
-  const Graph c = view.materialize();
+  const kron::KronChain chain({a, b});
+  const Graph c = kron::kron_graph(a, b);
   for (vid p = 0; p < c.num_vertices(); p += 4) {
-    const auto from_view = analysis::extract_egonet(view, p);
+    const auto from_view = analysis::extract_egonet(chain, p);
     const auto from_graph = analysis::extract_egonet(c, p);
     EXPECT_EQ(from_view.vertices, from_graph.vertices) << "p=" << p;
     EXPECT_TRUE(from_view.graph == from_graph.graph) << "p=" << p;
@@ -76,10 +76,10 @@ TEST_P(EgonetProperty, EgonetValidatesOracleLikeFig7) {
   // formula value.
   const Graph a = kt_test::random_undirected(7, 0.4, GetParam() + 200);
   const Graph b = kt_test::random_undirected(6, 0.4, GetParam() + 201);
-  const kron::KronGraphView view(a, b);
+  const kron::KronChain chain({a, b});
   const kron::TriangleOracle oracle(a, b);
-  for (vid p = 0; p < view.num_vertices(); p += 5) {
-    const auto ego = analysis::extract_egonet(view, p);
+  for (vid p = 0; p < chain.num_vertices(); p += 5) {
+    const auto ego = analysis::extract_egonet(chain, p);
     EXPECT_EQ(analysis::center_triangles(ego), oracle.vertex_triangles(p))
         << "p=" << p;
   }

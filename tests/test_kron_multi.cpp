@@ -3,6 +3,9 @@
 // machinery.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/classic.hpp"
 #include "helpers.hpp"
 #include "kron/formulas.hpp"
@@ -38,12 +41,53 @@ TEST(KronChain, SingleFactorIsIdentityOperation) {
 TEST(KronChain, IndexRoundTrip) {
   const KronChain chain({gen::clique(3), gen::clique(4), gen::clique(5)});
   EXPECT_EQ(chain.num_vertices(), 60u);
+  const auto coords = [&](vid p) {
+    const KronChain::Coords xs = chain.decompose(p);
+    return std::vector<vid>(xs.begin(), xs.begin() + 3);
+  };
   for (vid p = 0; p < 60; ++p) {
-    EXPECT_EQ(chain.compose(chain.decompose(p)), p);
+    EXPECT_EQ(chain.compose(coords(p)), p);
   }
-  EXPECT_EQ(chain.decompose(0), (std::vector<vid>{0, 0, 0}));
-  EXPECT_EQ(chain.decompose(59), (std::vector<vid>{2, 3, 4}));
-  EXPECT_THROW((void)chain.compose({0, 0}), std::invalid_argument);
+  EXPECT_EQ(coords(0), (std::vector<vid>{0, 0, 0}));
+  EXPECT_EQ(coords(59), (std::vector<vid>{2, 3, 4}));
+  EXPECT_THROW((void)chain.compose(std::vector<vid>{0, 0}),
+               std::invalid_argument);
+}
+
+TEST(KronChain, RejectsProductSizesPastSixtyFourBits) {
+  // Seven 600-cliques: 600^7 ≈ 2.8e19 vertices, past 2^64 ≈ 1.8e19 — an
+  // unchecked product would wrap to a small vertex count.
+  const Graph k600 = gen::clique(600);
+  try {
+    (void)KronChain(std::vector<Graph>(7, k600));
+    FAIL() << "a 2.8e19-vertex product was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("600 x 600"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("vertices"), std::string::npos)
+        << e.what();
+  }
+  // Six of them fit the vid space (4.7e16 vertices), but the nonzero count
+  // (359400^6) does not: nnz can wrap even when n fits.
+  try {
+    (void)KronChain(std::vector<Graph>(6, k600));
+    FAIL() << "a product with 2.1e33 nonzeros was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("359400 x 359400"), std::string::npos)
+        << e.what();
+  }
+  // A zero factor makes the product empty however large the others are.
+  const KronChain empty(
+      {k600, k600, k600, k600, k600, k600, Graph::from_edges(1, {})});
+  EXPECT_EQ(empty.nnz(), 0u);
+  EXPECT_EQ(empty.num_vertices(), 600ull * 600 * 600 * 600 * 600 * 600);
+}
+
+TEST(KronChain, RejectsMoreFactorsThanTheCap) {
+  const std::vector<Graph> many(KronChain::kMaxFactors + 1, gen::clique(1));
+  EXPECT_THROW(KronChain{many}, std::invalid_argument);
+  EXPECT_NO_THROW(KronChain(std::vector<Graph>(KronChain::kMaxFactors,
+                                               gen::clique(1))));
 }
 
 TEST(KronChain, TwoFactorsMatchPairwiseMachinery) {

@@ -8,9 +8,9 @@
 #include "analysis/egonet.hpp"
 #include "gen/classic.hpp"
 #include "helpers.hpp"
+#include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
-#include "kron/view.hpp"
 #include "triangle/clustering.hpp"
 #include "triangle/count.hpp"
 #include "triangle/support.hpp"
@@ -46,11 +46,11 @@ TEST_P(OracleExtras, TriangleHistogramMatchesExpansion) {
 TEST_P(OracleExtras, EdgeEgonetValidation) {
   const Graph a = kt_test::random_undirected(6, 0.45, GetParam() + 100);
   const Graph b = kt_test::random_undirected(5, 0.5, GetParam() + 101);
-  const kron::KronGraphView view(a, b);
+  const kron::KronChain chain({a, b});
   const kron::TriangleOracle oracle(a, b);
-  const Graph c = view.materialize();
+  const Graph c = kron::kron_graph(a, b);
   for (vid p = 0; p < c.num_vertices(); p += 3) {
-    const auto ego = analysis::extract_egonet(view, p);
+    const auto ego = analysis::extract_egonet(chain, p);
     for (const vid q : c.neighbors(p)) {
       if (q == p) continue;
       EXPECT_EQ(analysis::center_edge_triangles(ego, q),

@@ -12,15 +12,12 @@
 #include <map>
 #include <vector>
 
-#include "api/pipeline.hpp"
-#include "api/sink.hpp"
 #include "gen/classic.hpp"
 #include "gen/random.hpp"
 #include "helpers.hpp"
 #include "kron/multi.hpp"
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
-#include "kron/view.hpp"
 #include "triangle/census.hpp"
 #include "validate/report.hpp"
 #include "validate/streaming_census.hpp"
@@ -181,10 +178,10 @@ TEST(StreamingCensus, UpperDegreeMatchesEnumeration) {
   const Graph a = kt_test::random_undirected(9, 0.4, 3, 0.5);
   const Graph b = kt_test::random_undirected(7, 0.4, 4, 0.5);
   const StreamingCensus census(a, b);
-  const kron::KronGraphView view(a, b);
-  for (vid p = 0; p < view.num_vertices(); ++p) {
+  const kron::KronChain chain({a, b});
+  for (vid p = 0; p < chain.num_vertices(); ++p) {
     esz expected = 0;
-    for (const vid q : view.neighbors(p)) expected += q > p ? 1 : 0;
+    for (const vid q : chain.neighbors(p)) expected += q > p ? 1 : 0;
     EXPECT_EQ(census.upper_degree(p), expected) << "vertex " << p;
   }
 }
@@ -196,7 +193,7 @@ TEST(StreamingCensus, SumsAreConsistent) {
   EXPECT_EQ(stats.vertex_count_sum, 3 * stats.total_triangles);
   EXPECT_EQ(stats.edge_count_sum, 3 * stats.total_triangles);
   EXPECT_EQ(stats.num_edges,
-            kron::KronGraphView(a, b).num_undirected_edges());
+            kron::KronChain({a, b}).num_undirected_edges());
 }
 
 TEST(StreamingCensus, RejectsDirectedFactors) {
@@ -242,46 +239,6 @@ TEST(ValidationReport, ChainReportPassesAndCountsEdges) {
   EXPECT_EQ(report.num_edges,
             chain.num_undirected_edges() -
                 static_cast<count_t>(chain.materialize().num_self_loops()));
-}
-
-TEST(ValidatingCensusSink, AllGeneratedEdgesMatchTheOracle) {
-  const Graph a = gen::holme_kim(40, 3, 0.6, 37);
-  const Graph b = gen::clique(3).with_all_self_loops();
-  const kron::KronGraphView view(a, b);
-  const kron::TriangleOracle oracle(a, b);
-  // Parallel fan-out: each partition validates its own slice of C.
-  auto sinks = api::stream_parallel(
-      a, b, 4, [&](std::uint64_t, std::uint64_t) {
-        return std::make_unique<api::ValidatingCensusSink>(view, oracle);
-      });
-  api::ValidatingCensusSink total(view, oracle);
-  for (const auto& s : sinks) {
-    total.merge(static_cast<const api::ValidatingCensusSink&>(*s));
-  }
-  EXPECT_EQ(total.edges_consumed(), view.nnz());
-  EXPECT_EQ(total.mismatches(), 0u);
-  EXPECT_EQ(total.max_abs_error(), 0u);
-  EXPECT_TRUE(total.pass());
-  // Every undirected non-loop edge checked exactly once across partitions.
-  EXPECT_EQ(total.edges_checked(),
-            view.num_undirected_edges() -
-                static_cast<count_t>(view.num_self_loops()));
-  // The histogram is the exact measured Δ distribution — its weighted sum
-  // is 3τ.
-  count_t weighted = 0;
-  for (const auto& [delta, freq] : total.histogram()) {
-    weighted += delta * freq;
-  }
-  EXPECT_EQ(weighted, 3 * oracle.total_triangles());
-}
-
-TEST(ValidatingCensusSink, RejectsDirectedView) {
-  const Graph d = Graph::from_edges(3, {{{0, 1}, {1, 2}}}, false);
-  const Graph u = gen::clique(3);
-  const kron::KronGraphView view(d, u);
-  const kron::TriangleOracle oracle(u, u);
-  EXPECT_THROW(api::ValidatingCensusSink(view, oracle),
-               std::invalid_argument);
 }
 
 }  // namespace
