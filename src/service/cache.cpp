@@ -1,6 +1,9 @@
 #include "service/cache.hpp"
 
+#include <stdexcept>
 #include <utility>
+
+#include <zlib.h>
 
 namespace kronotri::service {
 
@@ -28,23 +31,61 @@ bool cacheable(const api::RunPlan& plan) {
   return plan.options.output.empty();
 }
 
-std::optional<std::string> ResultCache::get(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->value;
+namespace {
+
+std::string deflate_fast(const std::string& raw) {
+  uLongf size = compressBound(static_cast<uLong>(raw.size()));
+  std::string bound(size, '\0');
+  if (compress2(reinterpret_cast<Bytef*>(bound.data()), &size,
+                reinterpret_cast<const Bytef*>(raw.data()),
+                static_cast<uLong>(raw.size()), 1) != Z_OK) {
+    throw std::runtime_error("ResultCache: deflate failed");
+  }
+  // A copy, not resize(): the entry must not keep the bound's capacity.
+  return bound.substr(0, size);
 }
 
-void ResultCache::put(const std::string& key, std::string report_json) {
+std::string inflate(const std::string& deflated, std::size_t raw_size) {
+  std::string out(raw_size, '\0');
+  uLongf size = static_cast<uLongf>(raw_size);
+  if (uncompress(reinterpret_cast<Bytef*>(out.data()), &size,
+                 reinterpret_cast<const Bytef*>(deflated.data()),
+                 static_cast<uLong>(deflated.size())) != Z_OK ||
+      size != raw_size) {
+    throw std::runtime_error("ResultCache: inflate failed");
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<std::string> ResultCache::get(const std::string& key) {
+  std::string deflated;
+  std::size_t raw_size = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+    deflated = it->second->deflated;
+    raw_size = it->second->raw_size;
+  }
+  return inflate(deflated, raw_size);
+}
+
+void ResultCache::put(const std::string& key,
+                      const std::string& report_json) {
+  const std::size_t raw_size = report_json.size();
+  std::string deflated = deflate_fast(report_json);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = index_.find(key); it != index_.end()) {
     bytes_ -= charge(*it->second);
-    it->second->value = std::move(report_json);
+    it->second->deflated = std::move(deflated);
+    it->second->raw_size = raw_size;
     bytes_ += charge(*it->second);
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(report_json)});
+    lru_.push_front(Entry{key, std::move(deflated), raw_size});
     bytes_ += charge(lru_.front());
     index_.emplace(key, lru_.begin());
   }

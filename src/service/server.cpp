@@ -9,6 +9,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "net/framing.hpp"
 #include "net/socket.hpp"
 #include "obs/counters.hpp"
@@ -426,6 +430,13 @@ void Server::worker_loop() {
       job->result.set_exception(std::current_exception());
     }
     metrics_.jobs_active.fetch_sub(1);
+    // The job has freed what it allocated, but glibc keeps freed pages
+    // resident below any live allocation made after them (a cache entry,
+    // another job's data). Handing them back keeps the daemon's resident
+    // set at its live data however many jobs it has run.
+#ifdef __GLIBC__
+    ::malloc_trim(0);
+#endif
     touch_activity();
   }
 }

@@ -1,6 +1,8 @@
 #include "validate/report.hpp"
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
+#include <exception>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -17,13 +19,44 @@ namespace {
 
 count_t abs_diff(count_t a, count_t b) { return a > b ? a - b : b - a; }
 
+/// Folds one measured vertex count and its prediction into `r`.
+void check_vertex(ValidationReport& r, count_t measured, count_t predicted) {
+  ++r.vertices_checked;
+  ++r.vertex_histogram[measured];
+  if (measured != predicted) {
+    ++r.vertex_mismatches;
+    r.vertex_max_abs_err =
+        std::max(r.vertex_max_abs_err, abs_diff(measured, predicted));
+  }
+}
+
+/// Folds one measured edge count and its prediction into `r`.
+void check_edge(ValidationReport& r, count_t measured,
+                std::optional<count_t> predicted) {
+  ++r.edges_checked;
+  ++r.edge_histogram[measured];
+  if (!predicted) {
+    // The streamed pair is an edge of C by construction; a predictor
+    // refusing it is itself a mismatch.
+    ++r.edge_mismatches;
+    r.edge_max_abs_err = std::max(r.edge_max_abs_err, measured);
+  } else if (*predicted != measured) {
+    ++r.edge_mismatches;
+    r.edge_max_abs_err =
+        std::max(r.edge_max_abs_err, abs_diff(measured, *predicted));
+  }
+}
+
 /// Shared report builder: runs the engine once, folding every shard's
-/// measured counts against the supplied point predictors.
-ValidationReport build_report(
-    const StreamingCensus& census,
-    const std::function<count_t(vid)>& vertex_pred,
-    const std::function<std::optional<count_t>(vid, vid)>& edge_pred,
-    count_t predicted_total, const StreamingOptions& opt) {
+/// measured counts against the supplied point predictors inside the OpenMP
+/// team. The predictors are called from several threads at once, so any
+/// lazily built oracle state must exist before this is called.
+template <typename VertexPred, typename EdgePred>
+ValidationReport build_report(const StreamingCensus& census,
+                              const VertexPred& vertex_pred,
+                              const EdgePred& edge_pred,
+                              count_t predicted_total,
+                              const StreamingOptions& opt) {
   ValidationReport r;
   r.num_vertices = census.num_vertices();
   r.num_factors = census.num_factors();
@@ -40,33 +73,41 @@ ValidationReport build_report(
   }
 
   const auto fold = [&](const StreamingCensus::Shard& shard) {
+    constexpr vid kChunk = 256;
+    const vid lo = shard.lo();
     const auto vc = shard.vertex_counts();
-    for (std::size_t i = 0; i < vc.size(); ++i) {
-      const count_t measured = vc[i];
-      const count_t predicted = vertex_pred(shard.lo() + static_cast<vid>(i));
-      ++r.vertices_checked;
-      ++r.vertex_histogram[measured];
-      if (measured != predicted) {
-        ++r.vertex_mismatches;
-        r.vertex_max_abs_err =
-            std::max(r.vertex_max_abs_err, abs_diff(measured, predicted));
+    const std::int64_t chunks =
+        static_cast<std::int64_t>((shard.hi() - lo + kChunk - 1) / kChunk);
+    std::exception_ptr error;  // a throwing predictor, rethrown below
+#pragma omp parallel
+    {
+      // This thread's share of the comparison. merge() sums the counts and
+      // histograms and takes the maxima, so the order the threads fold in
+      // does not change the report.
+      ValidationReport tally;
+#pragma omp for schedule(dynamic, 1) nowait
+      for (std::int64_t c = 0; c < chunks; ++c) {
+        const vid first = lo + static_cast<vid>(c) * kChunk;
+        const vid last = std::min<vid>(shard.hi(), first + kChunk);
+        try {
+          for (vid p = first; p < last; ++p) {
+            check_vertex(tally, vc[static_cast<std::size_t>(p - lo)],
+                         vertex_pred(p));
+          }
+          shard.for_each_owned_edge(first, last,
+                                    [&](vid u, vid v, count_t measured) {
+                                      check_edge(tally, measured,
+                                                 edge_pred(u, v));
+                                    });
+        } catch (...) {
+#pragma omp critical(kronotri_validate_fold)
+          if (!error) error = std::current_exception();
+        }
       }
+#pragma omp critical(kronotri_validate_fold)
+      r.merge(tally);
     }
-    shard.for_each_owned_edge([&](vid u, vid v, count_t measured) {
-      ++r.edges_checked;
-      ++r.edge_histogram[measured];
-      const std::optional<count_t> predicted = edge_pred(u, v);
-      if (!predicted) {
-        // The streamed pair is an edge of C by construction; a predictor
-        // refusing it is itself a mismatch.
-        ++r.edge_mismatches;
-        r.edge_max_abs_err = std::max(r.edge_max_abs_err, measured);
-      } else if (*predicted != measured) {
-        ++r.edge_mismatches;
-        r.edge_max_abs_err =
-            std::max(r.edge_max_abs_err, abs_diff(measured, *predicted));
-      }
-    });
+    if (error) std::rethrow_exception(error);
   };
   r.stats = census.run_shards(begin, end, fold);
   r.measured_total = r.stats.total_triangles;
@@ -236,7 +277,9 @@ ValidationReport validate_product(const Graph& a, const Graph& b,
 
 ValidationReport validate_chain(const kron::KronChain& chain,
                                 const StreamingOptions& opt) {
-  // Surface the ≥-one-loop-free-factor precondition before streaming.
+  // Surface the ≥-one-loop-free-factor precondition before streaming; this
+  // also builds the chain's lazy factor statistics before the fold's team
+  // reads them.
   (void)chain.total_triangles();
   const StreamingCensus census(chain, opt);
   return build_report(

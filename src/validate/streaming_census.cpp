@@ -118,50 +118,107 @@ void StreamingCensus::process_shard(ShardRange range,
   vertex.assign(static_cast<std::size_t>(len), 0);
   edge.assign(offsets[static_cast<std::size_t>(len)], 0);
 
+  // Per-thread factor-row bitsets, one per factor over its vertex ids:
+  // words [base[f], base[f+1]) hold row cur[f] of factor f. Σ_f ⌈n_f/64⌉
+  // words a thread, outside the accumulator budget.
+  std::size_t base[KronChain::kMaxFactors + 1];
+  base[0] = 0;
+  for (std::size_t f = 0; f < k; ++f) {
+    base[f + 1] = base[f] + (factors[f].num_vertices() + 63) / 64;
+  }
+  const std::size_t last = k - 1;
+  constexpr vid kNoRow = ~vid{0};
+
   count_t checks = 0;
 #pragma omp parallel reduction(+ : checks)
   {
-    std::vector<vid> ids, coords;
+    std::vector<std::uint64_t> bits(base[k], 0);
+    vid cur[KronChain::kMaxFactors];
+    std::fill(cur, cur + k, kNoRow);
+    // Makes factor f's bitset row x, clearing the previous row by walking it.
+    const auto load_row = [&](std::size_t f, vid x) {
+      if (cur[f] == x) return;
+      std::uint64_t* const w = bits.data() + base[f];
+      if (cur[f] != kNoRow) {
+        for (const vid y : factors[f].neighbors(cur[f])) w[y >> 6] = 0;
+      }
+      for (const vid y : factors[f].neighbors(x)) w[y >> 6] |= 1ull << (y & 63);
+      cur[f] = x;
+    };
+    const auto has_bit = [&](std::size_t f, vid y) -> count_t {
+      return (bits[base[f] + (y >> 6)] >> (y & 63)) & 1u;
+    };
+    // N(u) as odometer blocks: neighbors sharing the prefix coordinates
+    // 0..k−2 are contiguous. tail[i] is neighbor i's last coordinate, block
+    // b spans [start[b], start[b+1]) with prefix coordinates
+    // prefix[b*(k−1) ..).
+    std::vector<vid> tail, prefix;
+    std::vector<std::size_t> start, closing;
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::int64_t uu = 0; uu < len; ++uu) {
       const vid u = lo + static_cast<vid>(uu);
-      // N(u) with each neighbor's factor coordinates kept alongside:
-      // coords[i*k .. i*k+k) belongs to ids[i]. The self loop is dropped —
-      // the census runs on C − I∘C.
-      ids.clear();
-      coords.clear();
+      // The self loop is dropped — the census runs on C − I∘C — which can
+      // leave a hole in the middle of u's own block.
+      tail.clear();
+      prefix.clear();
+      start.clear();
+      std::size_t split = 0;  // neighbors < u come first (ids ascend)
+      vid block_id = kNoRow;
       chain_->for_each_neighbor(
-          chain_->decompose(u), [&](vid v, const vid* vc) {
+          chain_->decompose(u), [&](vid v, const vid* ys) {
             if (v == u) return;
-            ids.push_back(v);
-            coords.insert(coords.end(), vc, vc + k);
+            split += v < u;
+            if (v - ys[last] != block_id) {
+              block_id = v - ys[last];
+              start.push_back(tail.size());
+              prefix.insert(prefix.end(), ys, ys + last);
+            }
+            tail.push_back(ys[last]);
           });
-      const std::size_t deg = ids.size();
-      const std::size_t split = static_cast<std::size_t>(
-          std::upper_bound(ids.begin(), ids.end(), u) - ids.begin());
+      const std::size_t deg = tail.size();
+      const std::size_t blocks = start.size();
+      start.push_back(deg);
       assert(deg - split == offsets[static_cast<std::size_t>(uu) + 1] -
                                 offsets[static_cast<std::size_t>(uu)]);
+      checks += deg * (deg - 1) / 2;  // every pair is examined
       // Every counter below is owned by this u alone: vertex[uu] and the
       // owned-edge slice [offsets[uu], offsets[uu+1]) — single-writer, so
-      // no atomics, no thread-local copies, no reduction.
+      // no atomics, no thread-local copies, no reduction. Each examined
+      // pair {i, j} adds its closure bit (0 or 1) to them.
       count_t t = 0;
       count_t* const eb = edge.data() + offsets[static_cast<std::size_t>(uu)];
-      for (std::size_t i = 0; i + 1 < deg; ++i) {
-        const vid* const ci = coords.data() + i * k;
-        for (std::size_t j = i + 1; j < deg; ++j) {
-          const vid* const cj = coords.data() + j * k;
-          ++checks;
-          bool closed = true;
-          for (std::size_t f = 0; f < k; ++f) {
-            if (!factors[f].has_edge(ci[f], cj[f])) {
-              closed = false;
-              break;
+      for (std::size_t bi = 0; bi < blocks; ++bi) {
+        // Arms of block bi share their prefix rows; one prefix test per
+        // later block keeps only the blocks those rows close.
+        const vid* const pi = prefix.data() + bi * last;
+        for (std::size_t f = 0; f < last; ++f) load_row(f, pi[f]);
+        closing.clear();
+        for (std::size_t b = bi; b < blocks; ++b) {
+          const vid* const pb = prefix.data() + b * last;
+          std::size_t f = 0;
+          while (f < last && has_bit(f, pb[f])) ++f;
+          if (f == last) closing.push_back(b);
+        }
+        if (closing.empty()) continue;
+        for (std::size_t i = start[bi]; i < start[bi + 1]; ++i) {
+          load_row(last, tail[i]);
+          count_t arm = 0;
+          for (const std::size_t b : closing) {
+            const std::size_t jlo = std::max(start[b], i + 1);
+            const std::size_t jhi = start[b + 1];
+            if (jlo >= jhi) continue;
+            const std::size_t jmid = std::clamp(split, jlo, jhi);
+            for (std::size_t j = jlo; j < jmid; ++j) {
+              arm += has_bit(last, tail[j]);
+            }
+            for (std::size_t j = jmid; j < jhi; ++j) {
+              const count_t closed = has_bit(last, tail[j]);
+              arm += closed;
+              eb[j - split] += closed;
             }
           }
-          if (!closed) continue;
-          ++t;
-          if (i >= split) ++eb[i - split];
-          if (j >= split) ++eb[j - split];
+          t += arm;
+          if (i >= split) eb[i - split] += arm;
         }
       }
       vertex[static_cast<std::size_t>(uu)] = t;
@@ -218,18 +275,6 @@ StreamingStats StreamingCensus::run_shards(std::size_t begin, std::size_t end,
     st.total_triangles = st.vertex_count_sum / 3;
   }
   return st;
-}
-
-void StreamingCensus::Shard::for_each_owned_edge(
-    const std::function<void(vid, vid, count_t)>& fn) const {
-  const KronChain& chain = *engine_->chain_;
-  for (vid u = range_.lo; u < range_.hi; ++u) {
-    const count_t* counts =
-        edge_.data() + offsets_[static_cast<std::size_t>(u - range_.lo)];
-    chain.for_each_neighbor(chain.decompose(u), [&](vid v, const vid*) {
-      if (v > u) fn(u, v, *counts++);
-    });
-  }
 }
 
 }  // namespace kronotri::validate

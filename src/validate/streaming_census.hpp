@@ -22,15 +22,32 @@
 //   * Wedges are enumerated from the factors through kron::KronChain, the
 //     one implicit-product type: N(u) comes from the chain's neighbor
 //     odometer (sorted, with per-factor coordinates kept alongside), and a
-//     wedge {a, b} closes iff every factor has the corresponding
-//     coordinate edge — k sorted-row membership queries, O(log d) each,
-//     never touching C.
+//     wedge {a, b} closes iff every factor f has the coordinate edge
+//     A_f(a_f, b_f), never touching C.
 //
-// Work is Σ_p C(d(p), 2) wedge closures — the price of exact per-vertex
-// counts with only shard-local memory (an oriented enumeration would need
-// cross-shard writes for the two non-minimal corners). Accumulator memory
-// is O(shard vertices + shard-owned edges), tracked and reported so callers
-// can assert the product was censused under a budget its edge list exceeds.
+// Cost model. N(u) splits into odometer blocks: runs of neighbors that
+// share the prefix coordinates 0..k−2 and differ in the last one. Each
+// thread keeps one bitset per factor over that factor's vertex ids, holding
+// the factor row of the current wedge arm a; a row is loaded only when
+// a's coordinate in that factor changes and is cleared by walking the row
+// it replaced. For the arms of one block, each later block costs one
+// prefix test (k − 1 bit tests); a block whose prefix does not close is
+// skipped whole, and inside a closing block each second arm b costs one
+// bit test on the last factor. The census still examines all
+// Σ_p C(d'(p), 2) neighbor pairs (d' without the self loop; this is
+// `wedge_checks`), but only the pairs in closing blocks cost a memory
+// access each, and every closed wedge adds 1 to t[u] and to its owned
+// Δ(u, ·) — counts are measured, never derived from popcounts or from
+// products of factor counts, so the check stays independent of the
+// closed forms it validates. Exact per-vertex counts with only
+// shard-local memory are what this buys (an oriented enumeration would
+// need cross-shard writes for the two non-minimal corners).
+//
+// Memory. Accumulators are O(shard vertices + shard-owned edges), tracked
+// and reported so callers can assert the product was censused under a
+// budget its edge list exceeds. The per-thread bitsets, Σ_f ⌈n_f/64⌉
+// words (1/64 of the factors' own row-pointer storage), sit outside that
+// budget, like the per-thread neighbor buffer of O(max degree).
 #pragma once
 
 #include <cstddef>
@@ -86,7 +103,7 @@ struct StreamingStats {
   count_t total_triangles = 0;   ///< τ(C) on the loop-free simple part
   count_t vertex_count_sum = 0;  ///< Σ_p t_C[p] = 3·τ
   count_t edge_count_sum = 0;    ///< Σ_e Δ_C(e) = 3·τ
-  count_t wedge_checks = 0;      ///< factor-membership closures performed
+  count_t wedge_checks = 0;      ///< neighbor pairs examined, Σ C(d', 2)
   esz num_edges = 0;             ///< undirected non-loop edges of C streamed
   std::size_t num_shards = 0;
   std::size_t peak_accumulator_bytes = 0;  ///< max over shards, blocks only
@@ -133,10 +150,27 @@ class StreamingCensus {
       return offsets_.back();
     }
 
-    /// Invokes fn(u, v, Δ_C(u,v)) for every edge owned by the shard
-    /// (u ∈ [lo, hi), u < v), u ascending and v ascending within u.
-    void for_each_owned_edge(
-        const std::function<void(vid, vid, count_t)>& fn) const;
+    /// Invokes fn(u, v, Δ_C(u,v)) for every edge owned by vertices
+    /// [first, end) of the shard (lo ≤ first ≤ end ≤ hi; u < v), u
+    /// ascending and v ascending within u. Disjoint vertex subranges may be
+    /// walked from different threads at once.
+    template <typename Fn>
+    void for_each_owned_edge(vid first, vid end, Fn&& fn) const {
+      const kron::KronChain& chain = *engine_->chain_;
+      for (vid u = first; u < end; ++u) {
+        const count_t* counts =
+            edge_.data() + offsets_[static_cast<std::size_t>(u - range_.lo)];
+        chain.for_each_neighbor(chain.decompose(u), [&](vid v, const vid*) {
+          if (v > u) fn(u, v, *counts++);
+        });
+      }
+    }
+
+    /// The same over the whole shard.
+    template <typename Fn>
+    void for_each_owned_edge(Fn&& fn) const {
+      for_each_owned_edge(range_.lo, range_.hi, fn);
+    }
 
    private:
     friend class StreamingCensus;

@@ -453,6 +453,25 @@ TEST(Service, DrainingServerRejectsNewSubmits) {
   EXPECT_TRUE(held.read_response().get_bool("ok", false));  // still delivered
 }
 
+TEST(ResultCache, StoresDeflatedAndReplaysByteForByte) {
+  service::ResultCache cache(1u << 20);
+  std::string report;
+  for (int i = 0; report.size() < 20000; ++i) {
+    report += "{\"count\":" + std::to_string(i % 97) + ",\"bytes\":\"";
+    report += static_cast<char>(i % 256);
+    report += std::string(1, '\0') + "\"},";
+  }
+  cache.put("report", report);
+  cache.put("empty", "");
+  EXPECT_EQ(cache.get("report"), report);
+  EXPECT_EQ(cache.get("empty"), std::string());
+  // The budget is charged the raw size, not the deflated one.
+  EXPECT_GE(cache.stats().bytes, report.size());
+  cache.put("report", report.substr(1));
+  EXPECT_EQ(cache.get("report"), report.substr(1));
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
 TEST(Service, CacheEvictionStaysWithinByteBudget) {
   service::ServerOptions opt = small_options("evict");
   opt.cache_bytes = 2048;  // roughly one report entry

@@ -19,6 +19,7 @@
 #include "kron/oracle.hpp"
 #include "kron/product.hpp"
 #include "triangle/census.hpp"
+#include "util/prng.hpp"
 #include "validate/report.hpp"
 #include "validate/streaming_census.hpp"
 
@@ -144,6 +145,74 @@ TEST_P(StreamingParity, ThreeFactorChainMatchesWorkspaceAndClosedForm) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingParity,
                          ::testing::Range<std::uint64_t>(0, 6));
 
+/// Factor whose vertex count spans several bitset words without filling
+/// the last one, with every fifth vertex isolated (no neighbors, no loop)
+/// and the rest looped with probability loop_p.
+Graph wide_factor(vid n, double p, std::uint64_t seed, double loop_p) {
+  util::Xoshiro256 rng(seed);
+  const auto isolated = [](vid v) { return v % 5 == 3; };
+  std::vector<std::pair<vid, vid>> edges;
+  for (vid u = 0; u < n; ++u) {
+    if (isolated(u)) continue;
+    if (rng.bernoulli(loop_p)) edges.emplace_back(u, u);
+    for (vid v = u + 1; v < n; ++v) {
+      if (!isolated(v) && rng.bernoulli(p)) edges.emplace_back(u, v);
+    }
+  }
+  return Graph::from_edges(n, edges, /*symmetrize=*/true);
+}
+
+/// Σ_u C(d'(u), 2) over the materialized product, d' without the loop.
+count_t pairs_examined(const Graph& c) {
+  count_t pairs = 0;
+  for (vid u = 0; u < c.num_vertices(); ++u) {
+    const count_t d = c.out_degree(u) - (c.has_edge(u, u) ? 1 : 0);
+    pairs += d * (d - 1) / 2;
+  }
+  return pairs;
+}
+
+TEST(StreamingCensus, MultiWordFactorsEveryArityAndLoopRegime) {
+  // Factor shapes per arity: the wide factors (n = 65–140, not multiples
+  // of 64) sit both in the prefix and in the last position, where the
+  // per-arm bit tests run. Every subset of factors gets self loops; with
+  // all factors looped the dropped self vertex sits inside u's own block.
+  struct Shape {
+    vid n;
+    double p;
+  };
+  const std::vector<std::vector<Shape>> arities = {
+      {{139, 0.08}},
+      {{97, 0.07}, {71, 0.08}},
+      {{70, 0.06}, {3, 0.7}, {66, 0.06}},
+  };
+  std::uint64_t seed = 40;
+  for (const auto& shapes : arities) {
+    const std::size_t k = shapes.size();
+    for (std::uint32_t looped = 0; looped < (1u << k); ++looped) {
+      std::vector<Graph> factors;
+      for (std::size_t f = 0; f < k; ++f) {
+        factors.push_back(wide_factor(shapes[f].n, shapes[f].p, ++seed,
+                                      (looped >> f) & 1u ? 0.7 : 0.0));
+      }
+      const kron::KronChain chain(factors);
+      const Graph c = chain.materialize();
+      const FullCensus ref = materialized_reference(c);
+      const count_t pairs = pairs_examined(c);
+      StreamingOptions opt;
+      opt.force_shards = 4;
+      const auto runs = with_thread_counts(
+          [&] { return collect(StreamingCensus(chain, opt)); });
+      for (const auto& run : runs) {
+        EXPECT_EQ(run.vertex, ref.vertex) << "k=" << k << " looped=" << looped;
+        EXPECT_EQ(run.edge, ref.edge) << "k=" << k << " looped=" << looped;
+        EXPECT_EQ(run.stats.wedge_checks, pairs)
+            << "k=" << k << " looped=" << looped;
+      }
+    }
+  }
+}
+
 TEST(StreamingCensus, BudgetDrivesShardCountAndBoundsAccumulators) {
   const Graph a = gen::holme_kim(60, 3, 0.6, 11);
   const Graph b = gen::clique(4);
@@ -227,6 +296,64 @@ TEST(ValidationReport, PassesOnCleanProductsEveryLoopRegime) {
       EXPECT_EQ(ehist, report.num_edges);
     }
   }
+}
+
+/// Reports at OMP 1/2/8 × shards 1/4/16 must agree: fingerprints at each
+/// shard count, histograms and pointwise tallies everywhere. Unit fragments
+/// merge() back to the full fingerprint.
+template <typename Validate>
+void expect_deterministic_fold(Validate&& validate) {
+  StreamingOptions one;
+  one.force_shards = 1;
+  const validate::ValidationReport ref = validate(one);
+  ASSERT_TRUE(ref.pass());
+  ASSERT_GT(ref.edge_histogram.size(), 1u);
+  for (const std::uint64_t shards : {1u, 4u, 16u}) {
+    StreamingOptions opt;
+    opt.force_shards = shards;
+    const auto reports = with_thread_counts([&] { return validate(opt); });
+    for (const auto& r : reports) {
+      EXPECT_EQ(r.fingerprint(), reports.front().fingerprint())
+          << "shards=" << shards;
+      EXPECT_EQ(r.vertex_histogram, ref.vertex_histogram);
+      EXPECT_EQ(r.edge_histogram, ref.edge_histogram);
+      EXPECT_EQ(r.vertices_checked, ref.vertices_checked);
+      EXPECT_EQ(r.edges_checked, ref.edges_checked);
+      EXPECT_EQ(r.stats.wedge_checks, ref.stats.wedge_checks);
+    }
+    for (const std::uint64_t units : {2u, 3u}) {
+      validate::ValidationReport merged;
+      for (std::uint64_t unit = 0; unit < units; ++unit) {
+        StreamingOptions part = opt;
+        part.unit = unit;
+        part.units = units;
+        const auto fragment = validate(part);
+        if (unit == 0) {
+          merged = fragment;
+        } else {
+          merged.merge(fragment);
+        }
+      }
+      merged.finalize_merged();
+      EXPECT_EQ(merged.fingerprint(), reports.front().fingerprint())
+          << "shards=" << shards << " units=" << units;
+    }
+  }
+}
+
+TEST(ValidationReport, ParallelFoldIsDeterministic) {
+  const Graph a = gen::holme_kim(120, 3, 0.6, 29);
+  const Graph b = gen::clique(4).with_all_self_loops();
+  expect_deterministic_fold(
+      [&](const StreamingOptions& opt) {
+        return validate::validate_product(a, b, opt);
+      });
+  const kron::KronChain chain({gen::holme_kim(40, 2, 0.5, 37),
+                               gen::path(4).with_all_self_loops(),
+                               gen::clique(3)});
+  expect_deterministic_fold([&](const StreamingOptions& opt) {
+    return validate::validate_chain(chain, opt);
+  });
 }
 
 TEST(ValidationReport, ChainReportPassesAndCountsEdges) {
